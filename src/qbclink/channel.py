@@ -3,8 +3,9 @@
 A passive channel between ``n_tx`` transmit and ``n_rx`` receive antennas is a
 complex matrix ``H`` with spectral norm at most one.  Its singular value
 decomposition ``H = U S V†`` exposes the eigen-channel transmissivities
-``eta_k = s_k**2``; the companion loss coefficients ``sqrt(1 - eta_k)`` couple
-in the thermal environment so that energy and commutators are preserved.
+``eta_k = s_k**2``; the companion loss coefficients
+(:attr:`ChannelMatrix.loss_coefficients`) couple in the thermal environment so
+that energy and commutators are preserved.
 
 Channels come from three sources here: explicit propagation paths (steering
 vectors scaled by per-path transmissivity and phase), clutter scattering
@@ -33,6 +34,8 @@ UNITARITY_TOL = 1e-10
 # Slack on the spectral-norm-at-most-one test; absorbs SVD rounding for
 # channels that are lossless along one eigen-channel.
 PHYSICALITY_SLACK = 1e-12
+# Consecutive non-physical fading draws after which sampling gives up.
+MAX_RESAMPLES = 100
 
 
 def siso_beam_splitter(eta: float, phase: float) -> np.ndarray:
@@ -246,6 +249,20 @@ class ChannelMatrix:
         return self.singular_values**2
 
     @property
+    def port_eta(self) -> np.ndarray:
+        """``eta_k`` of each receive port, clipped to [0, 1] and zero beyond the
+        singular values; not cut at the rank, so any ``rank_tolerance`` works."""
+        eta = np.zeros(self.n_rx)
+        eta[: self.singular_values.size] = np.clip(self.eta, 0.0, 1.0)
+        return eta
+
+    @property
+    def loss_coefficients(self) -> np.ndarray:
+        """Thermal coupling ``sqrt(1 - eta_k)`` of each receive port; with the
+        singular values these satisfy ``S S† + Sgm Sgm† = I``."""
+        return np.sqrt(1.0 - self.port_eta)
+
+    @property
     def spectral_norm(self) -> float:
         return float(self.singular_values[0]) if self.singular_values.size else 0.0
 
@@ -325,7 +342,7 @@ def decompose_channel(
 
 @dataclass(frozen=True)
 class NoiseLoading:
-    """Per-eigen-channel loss coefficients ``sqrt(1 - eta_k)``.
+    """Per-eigen-channel loss coefficients of a passive channel.
 
     Together with the singular values these satisfy
     ``S S† + Sgm Sgm† = I`` on the receive side, the bookkeeping that keeps
@@ -338,14 +355,11 @@ class NoiseLoading:
 def noise_loading(cm: ChannelMatrix) -> NoiseLoading:
     """Thermal coupling coefficients for a passive channel.
 
-    Eigen-channels beyond the numerical rank couple entirely to the
+    Receive ports beyond the singular values couple entirely to the
     environment (coefficient one).
     """
     cm.require_physical()
-    eta = np.zeros(cm.n_rx)
-    kept = min(cm.rank, cm.n_rx)
-    eta[:kept] = np.clip(cm.eta[:kept], 0.0, 1.0)
-    return NoiseLoading(loss_coefficients=np.sqrt(1.0 - eta))
+    return NoiseLoading(loss_coefficients=cm.loss_coefficients)
 
 
 def build_two_path_channel(
@@ -435,12 +449,7 @@ class FadingSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def sample_double_rayleigh(
-    spec: FadingSpec,
-    draw,
-    return_rejections: bool = False,
-    max_resamples: int = 100,
-):
+def sample_double_rayleigh(spec: FadingSpec, draw, return_rejections: bool = False):
     """Draw one double-Rayleigh channel, deterministically in ``(seed, draw)``.
 
     Both hop matrices have i.i.d. circularly-symmetric complex Gaussian
@@ -466,7 +475,7 @@ def sample_double_rayleigh(
     scale = np.sqrt(np.sqrt(spec.reference_rtt / spec.n_tx) / 2.0)
 
     rejections = 0
-    for attempt in range(max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         rng = substream(spec.seed, *path, attempt)
         h_t = scale * (
             rng.standard_normal((spec.n_tag, spec.n_tx))
@@ -481,6 +490,6 @@ def sample_double_rayleigh(
             return (cm, rejections) if return_rejections else cm
         rejections += 1
     raise NonPhysicalChannelError(
-        f"{max_resamples} consecutive fading draws were non-physical; "
+        f"{MAX_RESAMPLES} consecutive fading draws were non-physical; "
         f"reference_rtt={spec.reference_rtt} is set too high"
     )

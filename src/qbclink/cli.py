@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,67 +34,76 @@ from .channel import (
     PropagationPath,
     build_clutter_channel,
     build_two_path_channel,
-    decompose_channel,
     round_trip_transmissivity,
     sample_double_rayleigh,
 )
 from .errors import ConfigError, NonUnitaryInputError
-from .rng import substream
-
-_RECEIVERS = {r.value: r for r in qi.Receiver}
-_KINDS = {k.value: k for k in montecarlo.ChannelKind}
+from .gaussian import run_oracle_checks  # noqa: F401  (public at this path too)
 
 
-def _merge_config(args, flag_keys) -> dict:
-    """Config file < named flags < --set overrides."""
-    config = io.load_config(args.config) if args.config else {}
-    for flag, key in flag_keys.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[key] = value
+class Key(NamedTuple):
+    """One config key of a command.  ``type`` is float, int, str or a converter
+    ``f(name, value)``; a key without a default is required where it is read."""
+
+    name: str
+    type: object
+    default: object = None
+    help: str | None = None
+    flag: str | None = None
+
+
+def _reject_unknown(values: dict, allowed) -> None:
+    for name in values:
+        if name not in allowed:
+            raise ConfigError(f"unknown key '{name}'")
+
+
+class _Config:
+    """One command's merged values; ``cfg[name]`` converts a value, or the
+    key's default, to the key's type."""
+
+    def __init__(self, keys, values: dict):
+        self.keys = {key.name: key for key in keys}
+        self.values = values
+
+    def __contains__(self, name) -> bool:
+        return name in self.values
+
+    def __getitem__(self, name):
+        key = self.keys[name]
+        value = self.values.get(name, key.default)
+        if value is None:
+            raise ConfigError(f"missing required key '{name}'")
+        if key.type is str:
+            return str(value)
+        if key.type is not float and key.type is not int:
+            return key.type(name, value)
+        noun = "a number" if key.type is float else "an integer"
+        if key.type is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"key '{name}' must be {noun}, got {value!r}")
+        try:
+            return key.type(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"key '{name}' must be {noun}, got {value!r}") from None
+
+
+def _merge_config(args, keys) -> _Config:
+    """Config file < named flags < --set overrides; only ``keys`` may appear."""
+    values = io.load_config(args.config) if args.config else {}
+    for key in keys:
+        if key.flag and getattr(args, key.name) is not None:
+            values[key.name] = getattr(args, key.name)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        config[key.strip()] = io.parse_scalar(raw)
-    return config
+        name, raw = item.split("=", 1)
+        values[name.strip()] = io.parse_scalar(raw)
+    cfg = _Config(keys, values)
+    _reject_unknown(values, cfg.keys)
+    return cfg
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"missing required key '{key}'")
-    return config[key]
-
-
-def _reject_unknown(config: dict, allowed) -> None:
-    for key in config:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}'")
-
-
-def _as_float(config: dict, key: str, default=None) -> float:
-    value = config.get(key, default)
-    if value is None:
-        value = _require(config, key)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}") from None
-
-
-def _as_int(config: dict, key: str, default=None) -> int:
-    value = config.get(key, default)
-    if value is None:
-        value = _require(config, key)
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}") from None
-
-
-def _parse_ranks(value) -> tuple:
+def _parse_ranks(name: str, value) -> tuple:
     if isinstance(value, int):
         return (value,)
     text = str(value).strip()
@@ -107,19 +117,115 @@ def _parse_ranks(value) -> tuple:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(
-            f"key 'ranks' must be 'a..b' or a comma list, got {text!r}"
+            f"key '{name}' must be 'a..b' or a comma list, got {text!r}"
         ) from None
 
 
-def _parse_receiver(value) -> qi.Receiver:
-    if value is None:
-        return qi.Receiver.ZHUANG
-    name = str(value).lower()
-    if name not in _RECEIVERS:
-        raise ConfigError(
-            f"unknown receiver {value!r}; choose from {sorted(_RECEIVERS)}"
-        )
-    return _RECEIVERS[name]
+def _choice(enum_type, what: str, fold_case: bool = False):
+    """Converter looking an ``enum_type`` member up by its value."""
+    members = {member.value: member for member in enum_type}
+
+    def convert(name, value):
+        text = str(value).lower() if fold_case else str(value)
+        if text not in members:
+            raise ConfigError(
+                f"unknown {what} {value!r}; choose from {sorted(members)}"
+            )
+        return members[text]
+
+    return convert
+
+
+def _path_list(factory, fields):
+    """Converter for a list of path tables, each giving every float field."""
+
+    def convert(name, value):
+        if not isinstance(value, list):
+            raise ConfigError(f"key '{name}' must be a list of path tables")
+        paths = []
+        for i, entry in enumerate(value):
+            where = f"{name}[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{where} must be a table of path keys")
+            _reject_unknown(entry, fields)
+            numbers = []
+            for field in fields:
+                if field not in entry:
+                    raise ConfigError(f"{where}: missing required key '{field}'")
+                numbers.append(float(entry[field]))
+            paths.append(factory(*numbers))
+        return paths
+
+    return convert
+
+
+# -- key tables ---------------------------------------------------------------
+
+_LINK_BUDGET_KEYS = (
+    Key("g", float, help="antenna gain (linear)", flag="--g"),
+    Key("omega", float, help="angular frequency (rad/s)", flag="--omega"),
+    Key("sigma_q", float, help="tag cross-section (m^2)", flag="--sigma-q"),
+    Key("rt", float, help="transmitter-to-tag distance (m)", flag="--rt"),
+    Key("rr", float, help="tag-to-receiver distance (m)", flag="--rr"),
+)
+
+_CLUTTER_FIELDS = ("eta", "phase", "omega_b", "omega")
+_CHANNEL_KEYS = (
+    Key("nt", int, flag="--nt"),
+    Key("nr", int, flag="--nr"),
+    Key("eta", float, flag="--eta"),
+    Key("seed", int, flag="--seed"),
+    Key("ns", float, flag="--ns"),
+    Key("nz", float, flag="--nz"),
+    Key("kind", str, help="channel kind: two_path, clutter, fading", flag="--channel"),
+    Key("nb", int),
+    Key("spacing", float),
+    Key("draw", int, 0),
+    Key("modes", float, 1e9),
+    Key("paths", _path_list(PropagationPath, ("eta", "phase", "omega_r", "omega_t"))),
+    Key("tx_paths", _path_list(ClutterPath, _CLUTTER_FIELDS)),
+    Key("rx_paths", _path_list(ClutterPath, _CLUTTER_FIELDS)),
+)
+# the keys each channel kind accepts; eta, ns and nz add a protocol report
+_REPORT_KEYS = {"kind", "eta", "ns", "nz", "modes"}
+_CHANNEL_KINDS = {
+    "two_path": _REPORT_KEYS | {"spacing", "paths"},
+    "clutter": _REPORT_KEYS | {"spacing", "nt", "nb", "nr", "tx_paths", "rx_paths"},
+    "fading": _REPORT_KEYS | {"nt", "nr", "nb", "seed", "draw"},
+}
+
+_BER_KEYS = (
+    Key("eta", float, 1e-5, flag="--eta"),
+    Key("ns", float, 0.01, flag="--ns"),
+    Key("nz", float, 100.0, flag="--nz"),
+    Key("receiver", _choice(qi.Receiver, "receiver", fold_case=True),
+        help="classical, guha, or zhuang", flag="--receiver"),
+    Key("m_min", float, 1e6),
+    Key("m_max", float, 1e10),
+    Key("m_points", int, 25),
+)
+
+_SWEEP_KEYS = (
+    Key("nt", int, 8, flag="--nt"),
+    Key("nr", int, 8, flag="--nr"),
+    Key("ranks", _parse_ranks, help="'a..b' or comma list", flag="--ranks"),
+    Key("eta", float, 1e-5, flag="--eta"),
+    Key("ns", float, 0.01, flag="--ns"),
+    Key("nz", float, 100.0, flag="--nz"),
+    Key("trials", int, 10_000, flag="--trials"),
+    Key("seed", int, 0, flag="--seed"),
+    Key("channel", _choice(montecarlo.ChannelKind, "channel kind"), "double-rayleigh",
+        help="deterministic or double-rayleigh", flag="--channel"),
+    Key("workers", int, 1),
+)
+
+_ORACLE_KEYS = (
+    Key("trials", int, 100, flag="--trials"),
+    Key("seed", int, 0, flag="--seed"),
+    Key("ns", float, 0.01, flag="--ns"),
+    Key("nz", float, 100.0, flag="--nz"),
+    Key("max_n", int, 8),
+)
 
 
 def _write_lines(path, lines) -> None:
@@ -131,110 +237,48 @@ def _write_lines(path, lines) -> None:
 
 
 def cmd_link_budget(args) -> int:
-    config = _merge_config(
-        args, {"g": "g", "omega": "omega", "sigma_q": "sigma_q", "rt": "rt", "rr": "rr"}
-    )
-    _reject_unknown(config, {"g", "omega", "sigma_q", "rt", "rr"})
-    budget = LinkBudget(
-        antenna_gain=_as_float(config, "g"),
-        angular_frequency=_as_float(config, "omega"),
-        qrcs=_as_float(config, "sigma_q"),
-        dist_tx_tag=_as_float(config, "rt"),
-        dist_tag_rx=_as_float(config, "rr"),
-    )
-    eta = round_trip_transmissivity(budget)
+    cfg = _merge_config(args, _LINK_BUDGET_KEYS)
+    # the table lists the LinkBudget fields in order
+    eta = round_trip_transmissivity(LinkBudget(*(cfg[k.name] for k in _LINK_BUDGET_KEYS)))
     print(f"eta,{eta:.17g}")
     if args.out:
         _write_lines(args.out, ["eta", f"{eta:.17g}"])
     return 0
 
 
-def _path_from_mapping(entry, keys, factory, where: str):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a table of path keys")
-    _reject_unknown(entry, set(keys))
-    try:
-        values = [float(_require(entry, k)) for k in keys]
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return factory(*values)
-
-
-def _build_channel(config):
-    kind = str(_require(config, "kind"))
+def _build_channel(cfg: _Config):
+    kind = cfg["kind"]
+    if kind not in _CHANNEL_KINDS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    _reject_unknown(cfg.values, _CHANNEL_KINDS[kind])
     if kind == "two_path":
-        _reject_unknown(config, {"kind", "spacing", "paths", "eta", "ns", "nz", "modes"})
-        raw_paths = _require(config, "paths")
-        paths = [
-            _path_from_mapping(
-                p,
-                ("eta", "phase", "omega_r", "omega_t"),
-                PropagationPath,
-                f"paths[{i}]",
-            )
-            for i, p in enumerate(raw_paths)
-        ]
-        return build_two_path_channel(paths, _as_float(config, "spacing"))
+        return build_two_path_channel(cfg["paths"], cfg["spacing"])
     if kind == "clutter":
-        _reject_unknown(
-            config,
-            {"kind", "spacing", "nt", "nb", "nr", "tx_paths", "rx_paths",
-             "eta", "ns", "nz", "modes"},
-        )
-        tx = [
-            _path_from_mapping(
-                p, ("eta", "phase", "omega_b", "omega"), ClutterPath, f"tx_paths[{i}]"
-            )
-            for i, p in enumerate(_require(config, "tx_paths"))
-        ]
-        rx = [
-            _path_from_mapping(
-                p, ("eta", "phase", "omega_b", "omega"), ClutterPath, f"rx_paths[{i}]"
-            )
-            for i, p in enumerate(_require(config, "rx_paths"))
-        ]
         return build_clutter_channel(
-            tx,
-            rx,
-            n_tx=_as_int(config, "nt"),
-            n_tag=_as_int(config, "nb"),
-            n_rx=_as_int(config, "nr"),
-            spacing=_as_float(config, "spacing"),
+            cfg["tx_paths"],
+            cfg["rx_paths"],
+            n_tx=cfg["nt"],
+            n_tag=cfg["nb"],
+            n_rx=cfg["nr"],
+            spacing=cfg["spacing"],
         )
-    if kind == "fading":
-        _reject_unknown(
-            config, {"kind", "nt", "nr", "nb", "eta", "seed", "draw", "ns", "nz", "modes"}
-        )
-        spec = FadingSpec(
-            n_tx=_as_int(config, "nt"),
-            n_rx=_as_int(config, "nr"),
-            n_tag=_as_int(config, "nb"),
-            reference_rtt=_as_float(config, "eta"),
-            seed=_as_int(config, "seed"),
-        )
-        return sample_double_rayleigh(spec, _as_int(config, "draw", 0))
-    raise ConfigError(f"unknown channel kind {kind!r}")
+    spec = FadingSpec(cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
+    return sample_double_rayleigh(spec, cfg["draw"])
 
 
 def cmd_channel(args) -> int:
-    config = _merge_config(
-        args,
-        {"nt": "nt", "nr": "nr", "eta": "eta", "seed": "seed",
-         "ns": "ns", "nz": "nz", "channel": "kind"},
-    )
-    cm = _build_channel(config)
+    cfg = _merge_config(args, _CHANNEL_KEYS)
+    cm = _build_channel(cfg)
     print(f"shape,{cm.n_rx},{cm.n_tx}")
     print(f"rank,{cm.rank}")
     print(f"spectral_norm,{cm.spectral_norm:.17g}")
     print("eta_k," + " ".join(f"{v:.17g}" for v in cm.eta))
-    if {"ns", "nz", "eta"} <= set(config):
+    if "ns" in cfg and "nz" in cfg and "eta" in cfg:
         params = qi.QiParams(
-            n_signal=_as_float(config, "ns"),
-            n_thermal=_as_float(config, "nz"),
-            modes=_as_float(config, "modes", 1e9),
+            n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=cfg["modes"]
         )
         print(qi.PROTOCOL_REPORT_HEADER)
-        for row in qi.protocol_reports(cm, params, _as_float(config, "eta")):
+        for row in qi.protocol_reports(cm, params, cfg["eta"]):
             print(row.csv_row())
     if args.out:
         io.write_matrix(args.out, cm.matrix)
@@ -260,26 +304,17 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ber(args) -> int:
-    config = _merge_config(
-        args, {"eta": "eta", "ns": "ns", "nz": "nz", "receiver": "receiver"}
-    )
-    _reject_unknown(
-        config, {"eta", "ns", "nz", "receiver", "m_min", "m_max", "m_points"}
-    )
-    eta = _as_float(config, "eta", 1e-5)
-    n_signal = _as_float(config, "ns", 0.01)
-    n_thermal = _as_float(config, "nz", 100.0)
-    m_min = _as_float(config, "m_min", 1e6)
-    m_max = _as_float(config, "m_max", 1e10)
-    m_points = _as_int(config, "m_points", 25)
+    cfg = _merge_config(args, _BER_KEYS)
+    eta = cfg["eta"]
+    n_signal = cfg["ns"]
+    n_thermal = cfg["nz"]
+    m_min = cfg["m_min"]
+    m_max = cfg["m_max"]
+    m_points = cfg["m_points"]
     if m_min <= 0 or m_max < m_min or m_points < 1:
         raise ConfigError("need 0 < m_min <= m_max and m_points >= 1")
 
-    receivers = (
-        [_parse_receiver(config["receiver"])]
-        if "receiver" in config
-        else list(qi.Receiver)
-    )
+    receivers = [cfg["receiver"]] if "receiver" in cfg else list(qi.Receiver)
     grid = np.logspace(np.log10(m_min), np.log10(m_max), m_points)
     lines = ["receiver,modes,beta,ber"]
     for receiver in receivers:
@@ -298,42 +333,29 @@ def cmd_ber(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _merge_config(
-        args,
-        {"nt": "nt", "nr": "nr", "ranks": "ranks", "eta": "eta", "ns": "ns",
-         "nz": "nz", "trials": "trials", "seed": "seed", "channel": "channel",
-         "receiver": "receiver"},
-    )
-    _reject_unknown(
-        config,
-        {"nt", "nr", "ranks", "eta", "ns", "nz", "modes", "trials", "seed",
-         "channel", "receiver", "workers"},
-    )
-    n_tx = _as_int(config, "nt", 8)
-    n_rx = _as_int(config, "nr", 8)
-    kind_name = str(config.get("channel", "double-rayleigh"))
-    if kind_name not in _KINDS:
-        raise ConfigError(
-            f"unknown channel kind {kind_name!r}; choose from {sorted(_KINDS)}"
-        )
-    kind = _KINDS[kind_name]
-    ranks = _parse_ranks(config.get("ranks", f"1..{min(n_tx, n_rx)}"))
+    cfg = _merge_config(args, _SWEEP_KEYS)
+    n_tx = cfg["nt"]
+    n_rx = cfg["nr"]
+    kind = cfg["channel"]
+    ranks = cfg["ranks"] if "ranks" in cfg else tuple(range(1, min(n_tx, n_rx) + 1))
     spec = montecarlo.ExperimentSpec(
         n_tx=n_tx,
         n_rx=n_rx,
         rank_sweep=ranks,
-        reference_rtt=_as_float(config, "eta", 1e-5),
-        qi=qi.QiParams(
-            n_signal=_as_float(config, "ns", 0.01),
-            n_thermal=_as_float(config, "nz", 100.0),
-            modes=_as_float(config, "modes", 1e9),
-            receiver=_parse_receiver(config.get("receiver")),
-        ),
-        trials=_as_int(config, "trials", 10_000),
-        seed=_as_int(config, "seed", 0),
+        reference_rtt=cfg["eta"],
+        # mode gains are ratios of SNRs, so no sweep output depends on the
+        # mode count or the receiver
+        qi=qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9),
+        trials=cfg["trials"],
+        seed=cfg["seed"],
         channel_kind=kind,
     )
-    results = montecarlo.run_rank_sweep(spec, workers=_as_int(config, "workers", 1))
+    # checked before any pool is built: the pool forks every worker at once
+    workers = cfg["workers"]
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"key 'workers' must lie in [1, {cpus}], got {workers}")
+    results = montecarlo.run_rank_sweep(spec, workers=workers)
 
     summary = montecarlo.summary_csv_lines(kind, results)
     print("\n".join(summary))
@@ -352,114 +374,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _merge_config(
-        args, {"trials": "trials", "seed": "seed", "ns": "ns", "nz": "nz"}
-    )
-    _reject_unknown(config, {"trials", "seed", "ns", "nz", "max_n"})
-    trials = _as_int(config, "trials", 100)
-    seed = _as_int(config, "seed", 0)
-    max_n = _as_int(config, "max_n", 8)
-    params = qi.QiParams(
-        n_signal=_as_float(config, "ns", 0.01),
-        n_thermal=_as_float(config, "nz", 100.0),
-        modes=1e9,
-    )
-
-    worst_cross = 0.0
-    worst_eigen = 0.0
-    worst_paired = 0.0
-    for i in range(trials):
-        rng = substream(seed, i)
-        n = int(rng.integers(1, max_n + 1))
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        raw *= rng.uniform(0.05, 0.95) / np.linalg.svd(raw, compute_uv=False)[0]
-        cm = decompose_channel(raw)
-        checks = run_oracle_checks(cm, params)
-        worst_cross = max(worst_cross, checks["emimo_max_cross"])
-        worst_eigen = max(worst_eigen, checks["emimo_max_moment_rel"])
-        worst_paired = max(worst_paired, checks["pmimo_max_photon_rel"])
-
-    print(f"emimo_max_cross,{worst_cross:.17g}")
-    print(f"emimo_max_moment_rel,{worst_eigen:.17g}")
-    print(f"pmimo_max_photon_rel,{worst_paired:.17g}")
-    ok = worst_cross <= 1e-10 and worst_eigen <= 1e-9 and worst_paired <= 1e-9
+    cfg = _merge_config(args, _ORACLE_KEYS)
+    params = qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9)
+    worst = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
+    for name, value in worst.items():
+        print(f"{name},{value:.17g}")
+    ok = all(worst[name] <= tol for name, tol in gaussian.ORACLE_TOLERANCES.items())
     print(f"ok,{str(ok).lower()}")
     return 0 if ok else 1
-
-
-def run_oracle_checks(cm, params) -> dict:
-    """Propagate both protocols through the Gaussian oracle and compare with
-    the closed forms.  Returns max deviations keyed by check name."""
-    n_signal, n_thermal = params.n_signal, params.n_thermal
-    cross = qi.tmss_moments(n_signal).cross_correlation
-
-    # eigen protocol: branches must decouple and match the eigen-channel forms
-    state, smap, nmap = gaussian.emimo_setup(cm, params)
-    out = gaussian.propagate(state, smap, nmap, n_thermal)
-    r, n_rx = cm.rank, cm.n_rx
-    total = n_rx + r
-    eta = np.zeros(n_rx)
-    kept = min(cm.singular_values.size, n_rx)
-    eta[:kept] = cm.eta[:kept]
-
-    c_out, g_out = out.ladder_c, out.ladder_g
-    c_diag_exp = np.concatenate(
-        [
-            eta * np.where(np.arange(n_rx) < r, n_signal, 0.0)
-            + (1.0 - eta) * n_thermal,
-            np.full(r, n_signal),
-        ]
-    )
-    g_target = {(k, n_rx + k): np.sqrt(eta[k]) * cross for k in range(r)}
-
-    eigen_dev = float(
-        np.max(np.abs(np.diag(c_out).real - c_diag_exp) / c_diag_exp)
-    )
-    for (j, k), expected in g_target.items():
-        if expected > 0:
-            eigen_dev = max(eigen_dev, abs(g_out[j, k] - expected) / expected)
-
-    off_c = np.abs(c_out - np.diag(np.diag(c_out)))
-    off_g = np.abs(g_out).copy()
-    for (j, k) in g_target:
-        off_g[j, k] = off_g[k, j] = 0.0
-    cross_dev = max(float(off_c.max()), float(off_g.max())) if total else 0.0
-
-    # paired protocol: received photons match the exact passive bookkeeping
-    paired_dev = 0.0
-    if cm.n_rx == cm.n_tx:
-        state, smap, nmap = gaussian.pmimo_setup(cm, params)
-        out = gaussian.propagate(state, smap, nmap, n_thermal)
-        h = cm.matrix
-        for m in range(cm.n_tx):
-            row_power = float(np.sum(np.abs(h[m, :]) ** 2))
-            incoherent = qi.pmimo_interference(cm, params, m, coherent=False)
-            expected = (
-                n_signal * abs(h[m, m]) ** 2 + incoherent - n_thermal * row_power
-            )
-            paired_dev = max(
-                paired_dev, abs(out.photon_number(m) - expected) / expected
-            )
-
-    return {
-        "emimo_max_cross": cross_dev,
-        "emimo_max_moment_rel": eigen_dev,
-        "pmimo_max_photon_rel": paired_dev,
-    }
 
 
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="config file path")
-    parser.add_argument("--out", help="output file (or directory for sweep)")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
+# (name, help, handler, key table) of every command
+COMMANDS = (
+    ("link-budget", "round-trip transmissivity", cmd_link_budget, _LINK_BUDGET_KEYS),
+    ("channel", "build and factor a channel", cmd_channel, _CHANNEL_KEYS),
+    ("decompose", "unitary to beam-splitter mesh", cmd_decompose, ()),
+    ("ber", "Chernoff BER table", cmd_ber, _BER_KEYS),
+    ("sweep", "rank sweep of mode gains", cmd_sweep, _SWEEP_KEYS),
+    ("oracle", "moment-propagation cross-checks", cmd_oracle, _ORACLE_KEYS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,62 +404,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="link-level simulator for multiantenna quantum backscatter",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("link-budget", help="round-trip transmissivity")
-    _add_common(p)
-    p.add_argument("--g", type=float, help="antenna gain (linear)")
-    p.add_argument("--omega", type=float, help="angular frequency (rad/s)")
-    p.add_argument("--sigma-q", dest="sigma_q", type=float, help="tag cross-section (m^2)")
-    p.add_argument("--rt", type=float, help="transmitter-to-tag distance (m)")
-    p.add_argument("--rr", type=float, help="tag-to-receiver distance (m)")
-    p.set_defaults(func=cmd_link_budget)
-
-    p = sub.add_parser("channel", help="build and factor a channel")
-    _add_common(p)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--nr", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ns", type=float)
-    p.add_argument("--nz", type=float)
-    p.add_argument("--channel", help="channel kind: two_path, clutter, fading")
-    p.set_defaults(func=cmd_channel)
-
-    p = sub.add_parser("decompose", help="unitary to beam-splitter mesh")
-    _add_common(p)
-    p.add_argument("input", help="matrix text file holding the unitary")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("ber", help="Chernoff BER table")
-    _add_common(p)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--ns", type=float)
-    p.add_argument("--nz", type=float)
-    p.add_argument("--receiver", help="classical, guha, or zhuang")
-    p.set_defaults(func=cmd_ber)
-
-    p = sub.add_parser("sweep", help="rank sweep of mode gains")
-    _add_common(p)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--nr", type=int)
-    p.add_argument("--ranks", help="'a..b' or comma list")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--ns", type=float)
-    p.add_argument("--nz", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--receiver", help="classical, guha, or zhuang")
-    p.add_argument("--channel", help="deterministic or double-rayleigh")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("oracle", help="moment-propagation cross-checks")
-    _add_common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ns", type=float)
-    p.add_argument("--nz", type=float)
-    p.set_defaults(func=cmd_oracle)
-
+    for name, help_text, func, keys in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="config file path")
+        p.add_argument("--out", help="output file (or directory for sweep)")
+        p.add_argument(
+            "--set",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a config key (repeatable)",
+        )
+        for key in keys:
+            if key.flag:
+                p.add_argument(
+                    key.flag,
+                    dest=key.name,
+                    metavar=key.flag[2:].replace("-", "_").upper(),
+                    type=key.type if key.type in (float, int) else None,
+                    help=key.help,
+                )
+        p.set_defaults(func=func)
+    sub.choices["decompose"].add_argument(
+        "input", help="matrix text file holding the unitary"
+    )
     return parser
 
 

@@ -8,6 +8,9 @@ noise map ``B`` feeding in independent thermal modes.
 
 Physical maps preserve the output commutators, which pins ``A A† + B B† = I``;
 :func:`propagate` enforces this before mapping moments.
+
+:func:`run_oracle_checks` compares one channel's propagated moments with the
+closed forms; :func:`run_oracle` repeats it over seeded random channels.
 """
 
 from __future__ import annotations
@@ -16,12 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, decompose_channel
 from .errors import NonPhysicalTransformError
-from .qi import QiParams, tmss_moments
+from .qi import QiParams, pmimo_interference, tmss_moments
+from .rng import substream
 
 COMMUTATOR_TOL = 1e-9
 PHYSICALITY_TOL = 1e-9
+# Largest deviation each oracle check may show for the oracle to pass.
+ORACLE_TOLERANCES = {
+    "emimo_max_cross": 1e-10,
+    "emimo_max_moment_rel": 1e-9,
+    "pmimo_max_photon_rel": 1e-9,
+}
 
 
 def quadrature_rep(m: np.ndarray) -> np.ndarray:
@@ -210,18 +220,6 @@ def propagate(
     return GaussianState(mean=mean, cov=cov)
 
 
-def _loss_diagonal(cm: ChannelMatrix) -> np.ndarray:
-    """diag(sqrt(1 - eta_k)) over all receive ports.
-
-    Uses the raw transmissivities (no rank truncation) so the composed maps
-    preserve commutators to machine precision.
-    """
-    eta = np.zeros(cm.n_rx)
-    kept = min(cm.singular_values.size, cm.n_rx)
-    eta[:kept] = np.clip(cm.eta[:kept], 0.0, 1.0)
-    return np.diag(np.sqrt(1.0 - eta)).astype(complex)
-
-
 def emimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     """Input state and maps for the eigen-channel protocol oracle.
 
@@ -249,7 +247,7 @@ def emimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     signal_map[n_rx:, n_tx:] = np.eye(r)
     # beamformer applied after the channel noise: U† (U S) = S numerically
     noise_map = np.zeros((n_rx + r, n_rx), dtype=complex)
-    noise_map[:n_rx, :] = cm.u.conj().T @ cm.u @ _loss_diagonal(cm)
+    noise_map[:n_rx, :] = cm.u.conj().T @ cm.u @ np.diag(cm.loss_coefficients)
     return state, signal_map, noise_map
 
 
@@ -274,5 +272,83 @@ def pmimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     signal_map[:n, :n] = symbol * cm.matrix
     signal_map[n:, n:] = np.eye(n)
     noise_map = np.zeros((2 * n, n), dtype=complex)
-    noise_map[:n, :] = cm.u @ _loss_diagonal(cm)
+    noise_map[:n, :] = cm.u @ np.diag(cm.loss_coefficients)
     return state, signal_map, noise_map
+
+
+def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:
+    """Propagate both protocols through the Gaussian oracle and compare with
+    the closed forms.  Returns max deviations keyed by check name (the keys
+    of :data:`ORACLE_TOLERANCES`)."""
+    n_signal, n_thermal = params.n_signal, params.n_thermal
+    cross = tmss_moments(n_signal).cross_correlation
+
+    # eigen protocol: branches must decouple and match the eigen-channel forms
+    state, smap, nmap = emimo_setup(cm, params)
+    out = propagate(state, smap, nmap, n_thermal)
+    r, n_rx = cm.rank, cm.n_rx
+    total = n_rx + r
+    eta = cm.port_eta
+
+    c_out, g_out = out.ladder_c, out.ladder_g
+    c_diag_exp = np.concatenate(
+        [
+            eta * np.where(np.arange(n_rx) < r, n_signal, 0.0)
+            + (1.0 - eta) * n_thermal,
+            np.full(r, n_signal),
+        ]
+    )
+    g_target = {(k, n_rx + k): np.sqrt(eta[k]) * cross for k in range(r)}
+
+    eigen_dev = float(
+        np.max(np.abs(np.diag(c_out).real - c_diag_exp) / c_diag_exp)
+    )
+    for (j, k), expected in g_target.items():
+        if expected > 0:
+            eigen_dev = max(eigen_dev, abs(g_out[j, k] - expected) / expected)
+
+    off_c = np.abs(c_out - np.diag(np.diag(c_out)))
+    off_g = np.abs(g_out).copy()
+    for (j, k) in g_target:
+        off_g[j, k] = off_g[k, j] = 0.0
+    cross_dev = max(float(off_c.max()), float(off_g.max())) if total else 0.0
+
+    # paired protocol: received photons match the exact passive bookkeeping
+    paired_dev = 0.0
+    if cm.n_rx == cm.n_tx:
+        state, smap, nmap = pmimo_setup(cm, params)
+        out = propagate(state, smap, nmap, n_thermal)
+        h = cm.matrix
+        for m in range(cm.n_tx):
+            row_power = float(np.sum(np.abs(h[m, :]) ** 2))
+            incoherent = pmimo_interference(cm, params, m, coherent=False)
+            expected = (
+                n_signal * abs(h[m, m]) ** 2 + incoherent - n_thermal * row_power
+            )
+            paired_dev = max(
+                paired_dev, abs(out.photon_number(m) - expected) / expected
+            )
+
+    return {
+        "emimo_max_cross": cross_dev,
+        "emimo_max_moment_rel": eigen_dev,
+        "pmimo_max_photon_rel": paired_dev,
+    }
+
+
+def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> dict:
+    """Worst deviation of each oracle check over ``trials`` random channels.
+
+    Trial i draws, from ``substream(seed, i)``, a square channel of size n in
+    [1, max_n] scaled to a spectral norm in [0.05, 0.95].
+    """
+    worst = dict.fromkeys(ORACLE_TOLERANCES, 0.0)
+    for i in range(trials):
+        rng = substream(seed, i)
+        n = int(rng.integers(1, max_n + 1))
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        raw *= rng.uniform(0.05, 0.95) / np.linalg.svd(raw, compute_uv=False)[0]
+        checks = run_oracle_checks(decompose_channel(raw), params)
+        for name in worst:
+            worst[name] = max(worst[name], checks[name])
+    return worst

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -172,22 +173,18 @@ def _aggregate(rank, protocol, linear, rejected) -> EnsembleResult:
     )
 
 
-def _fading_batch(args):
+def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
     """Evaluate trials [start, stop) of one rank point; order-independent."""
-    (n_tx, n_rx, rank, eta, n_signal, n_thermal, modes, seed, start, stop) = args
-    params = QiParams(n_signal=n_signal, n_thermal=n_thermal, modes=modes)
-    fspec = FadingSpec(
-        n_tx=n_tx, n_rx=n_rx, n_tag=rank, reference_rtt=eta, seed=seed
-    )
-    baseline = eta * n_signal / n_thermal
+    fspec = FadingSpec(spec.n_tx, spec.n_rx, rank, spec.reference_rtt, spec.seed)
+    baseline = spec.baseline_snr
     paired = np.empty(stop - start)
     eigen = np.empty(stop - start)
     rejected = 0
     for i, trial in enumerate(range(start, stop)):
         cm, rej = sample_double_rayleigh(fspec, (rank, trial), return_rejections=True)
         rejected += rej
-        paired[i] = pmimo_snr(cm, params) / baseline
-        eigen[i] = emimo_snr(cm, params) / baseline
+        paired[i] = pmimo_snr(cm, spec.qi) / baseline
+        eigen[i] = emimo_snr(cm, spec.qi) / baseline
     return paired, eigen, rejected
 
 
@@ -198,35 +195,24 @@ def _rank_point(spec: ExperimentSpec, rank: int, workers: int):
         eigen = np.array([emimo_snr(cm, spec.qi) / spec.baseline_snr])
         return paired, eigen, 0
 
-    args = (
-        spec.n_tx,
-        spec.n_rx,
-        rank,
-        spec.reference_rtt,
-        spec.qi.n_signal,
-        spec.qi.n_thermal,
-        spec.qi.modes,
-        spec.seed,
-    )
     if workers <= 1:
-        paired, eigen, rejected = _fading_batch(args + (0, spec.trials))
+        paired, eigen, rejected = _fading_batch(spec, rank, 0, spec.trials)
     else:
-        bounds = np.linspace(0, spec.trials, workers * 4 + 1, dtype=int)
-        batches = [
-            args + (int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        bounds = np.unique(np.linspace(0, spec.trials, workers * 4 + 1, dtype=int))
+        bounds = [int(b) for b in bounds]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_fading_batch, batches))
+            parts = list(
+                pool.map(_fading_batch, repeat(spec), repeat(rank), bounds[:-1], bounds[1:])
+            )
         paired = np.concatenate([p for p, _, _ in parts])
         eigen = np.concatenate([e for _, e, _ in parts])
         rejected = sum(r for _, _, r in parts)
 
     if rejected > REJECTION_ABORT_FRACTION * spec.trials:
         raise RuntimeError(
-            f"{rejected} non-physical samples rejected over {spec.trials} trials; "
-            f"reference_rtt={spec.reference_rtt} is unrealistically high"
+            f"rank {rank}: {rejected} non-physical samples rejected over "
+            f"{spec.trials} trials; reference_rtt={spec.reference_rtt} is "
+            "unrealistically high"
         )
     return paired, eigen, rejected
 

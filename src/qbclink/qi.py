@@ -254,11 +254,11 @@ class EigenChannel:
 def eigen_channels(cm: ChannelMatrix) -> list:
     """The r parallel branches of a physical channel, strongest first."""
     cm.require_physical()
-    out = []
-    for eta in cm.eta[: cm.rank]:
-        eta = min(float(eta), 1.0)
-        out.append(EigenChannel(eta=eta, loss_coefficient=float(np.sqrt(1.0 - eta))))
-    return out
+    r = cm.rank
+    return [
+        EigenChannel(eta=float(eta), loss_coefficient=float(loss))
+        for eta, loss in zip(cm.port_eta[:r], cm.loss_coefficients[:r])
+    ]
 
 
 @dataclass(frozen=True)

@@ -293,13 +293,19 @@ class TestNoiseLoading:
         rng = np.random.default_rng(13)
         h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         h *= 0.7 / np.linalg.svd(h, compute_uv=False)[0]
-        cm = decompose_channel(h)
-        nl = noise_loading(cm)
-        sigma = np.zeros((6, 6))
-        np.fill_diagonal(sigma, cm.singular_values)
-        loss = np.diag(nl.loss_coefficients)
-        gap = np.max(np.abs(sigma @ sigma.T + loss @ loss.T - np.eye(6)))
-        assert gap <= 1e-10
+        # a large rank tolerance must not cut the coefficients off at the rank
+        for cm in (
+            decompose_channel(h),
+            decompose_channel(h, rank_tolerance=0.6),
+            decompose_channel(np.diag([0.9, 0.5]), rank_tolerance=0.6),
+        ):
+            nl = noise_loading(cm)
+            n = cm.n_rx
+            sigma = np.zeros((n, n))
+            np.fill_diagonal(sigma, cm.singular_values)
+            loss = np.diag(nl.loss_coefficients)
+            gap = np.max(np.abs(sigma @ sigma.T + loss @ loss.T - np.eye(n)))
+            assert gap <= 1e-10
 
     def test_non_physical_channel_rejected(self):
         cm = decompose_channel(2.0 * np.eye(2))

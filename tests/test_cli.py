@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from qbclink import io
-from qbclink.cli import main
+from qbclink import io, montecarlo
+from qbclink.cli import COMMANDS, _merge_config, build_parser, main
 
 RADAR_BAND_ETA = 1.8116395996279272e-08
 
@@ -101,6 +102,29 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--channel", "rician"])
         assert code == 2
         assert "rician" in err
+
+    @pytest.mark.parametrize("override", ["receiver=guha", "modes=1e6"])
+    def test_keys_no_output_depends_on_are_unknown(self, capsys, override):
+        code, out, err = run(capsys, ["sweep", "--set", override])
+        assert code == 2
+        assert out == ""
+        assert f"unknown key '{override.split('=')[0]}'" in err
+
+    @pytest.mark.parametrize("workers", [0, 2, 10**9])
+    def test_workers_outside_cpu_count_rejected_before_any_pool(
+        self, capsys, monkeypatch, workers
+    ):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
+        code, _, err = run(
+            capsys, ["sweep", "--trials", "5", "--set", f"workers={workers}"]
+        )
+        assert code == 2
+        assert "'workers'" in err and "[1, 1]" in err
 
 
 class TestDecompose:
@@ -223,6 +247,26 @@ class TestChannelCommand:
         assert code == 2
         assert "wat" in err
 
+    @pytest.mark.parametrize(
+        "kind,key", [("two_path", "paths"), ("clutter", "tx_paths"), ("clutter", "rx_paths")]
+    )
+    def test_non_list_path_key_named(self, capsys, tmp_path, kind, key):
+        # every other key is valid, so only the non-list value can fail
+        cfg = tmp_path / "p.cfg"
+        text = f"kind = {kind}\nspacing = 0.5\n"
+        if kind == "clutter":
+            text += "nt = 2\nnb = 1\nnr = 2\n" + "".join(
+                f"{side}[0].{field} = 0.1\n"
+                for side in ("tx_paths", "rx_paths")
+                for field in ("eta", "phase", "omega_b", "omega")
+            )
+        cfg.write_text(text)
+        code, _, err = run(
+            capsys, ["channel", "--config", str(cfg), "--set", f"{key}=3"]
+        )
+        assert code == 2
+        assert f"key '{key}'" in err
+
 
 class TestOracleCommand:
     def test_oracle_passes_and_reports(self, capsys):
@@ -233,3 +277,50 @@ class TestOracleCommand:
         assert float(lines["emimo_max_moment_rel"]) <= 1e-9
         assert float(lines["pmimo_max_photon_rel"]) <= 1e-9
         assert lines["ok"] == "true"
+
+
+# one raw text per source (file, flag, --set) for each type in the key tables
+SAMPLE_TEXTS = {
+    float: ("0.25", "0.5", "0.75"),
+    int: ("3", "4", "5"),
+    str: ("fading", "clutter", "two_path"),
+    "ranks": ("1..2", "3", "1,4"),
+    "receiver": ("classical", "guha", "zhuang"),
+    "channel": ("deterministic", "double-rayleigh", "deterministic"),
+}
+FLAGGED_KEYS = [
+    (command, keys, key)
+    for command, _, _, keys in COMMANDS
+    for key in keys
+    if key.flag
+]
+
+
+@pytest.mark.parametrize(
+    "command,keys,key",
+    FLAGGED_KEYS,
+    ids=[f"{command}-{key.name}" for command, _, key in FLAGGED_KEYS],
+)
+def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, keys, key):
+    file_text, flag_text, set_text = SAMPLE_TEXTS.get(key.name) or SAMPLE_TEXTS[key.type]
+    cfg_file = tmp_path / "keys.cfg"
+
+    def typed(file=None, flag=None, override=None):
+        argv = [command]
+        if file is not None:
+            cfg_file.write_text(f"{key.name} = {file}\n")
+            argv += ["--config", str(cfg_file)]
+        if flag is not None:
+            argv += [key.flag, flag]
+        if override is not None:
+            argv += ["--set", f"{key.name}={override}"]
+        return _merge_config(build_parser().parse_args(argv), keys)[key.name]
+
+    for text in (file_text, flag_text, set_text):
+        value = typed(file=text)
+        assert typed(flag=text) == value and typed(override=text) == value
+        assert type(typed(flag=text)) is type(value) is type(typed(override=text))
+    assert typed(file=file_text, flag=flag_text) == typed(flag=flag_text)
+    assert typed(file=file_text, flag=flag_text) != typed(file=file_text)
+    layered = typed(file=file_text, flag=flag_text, override=set_text)
+    assert layered == typed(override=set_text) != typed(flag=flag_text)

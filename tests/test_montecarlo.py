@@ -159,7 +159,7 @@ class TestRankSweep:
         spec = small_spec(
             n_tx=2, n_rx=2, rank_sweep=(2,), reference_rtt=0.3, trials=50
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="rank 2"):
             run_rank_sweep(spec)
 
     def test_spec_validation(self):
