@@ -225,7 +225,8 @@ class ChannelMatrix:
     singular_values : ndarray
         Descending singular values ``sqrt(eta_k)``.
     rank : int
-        Count of singular values above ``rank_tolerance`` times the largest.
+        Count of singular values above the ``rank_tolerance`` of
+        :func:`decompose_channel` times the largest.
     """
 
     matrix: np.ndarray
@@ -233,7 +234,6 @@ class ChannelMatrix:
     singular_values: np.ndarray
     v: np.ndarray
     rank: int
-    rank_tolerance: float
 
     @property
     def n_rx(self) -> int:
@@ -326,7 +326,6 @@ def decompose_channel(
         singular_values=s,
         v=vh.conj().T,
         rank=rank,
-        rank_tolerance=rank_tolerance,
     )
 
     scale = max(top, 1.0)
@@ -362,9 +361,7 @@ def noise_loading(cm: ChannelMatrix) -> NoiseLoading:
     return NoiseLoading(loss_coefficients=cm.loss_coefficients)
 
 
-def build_two_path_channel(
-    paths, spacing: float, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> ChannelMatrix:
+def build_two_path_channel(paths, spacing: float) -> ChannelMatrix:
     """Two-antenna channel as a sum of rank-one steering-vector products.
 
     Each path contributes ``sqrt(eta') e^{-i phi'} e(rx_cos) e(tx_cos)†`` on
@@ -379,7 +376,7 @@ def build_two_path_channel(
         rx = steering_vector(SteeringGeometry(2, spacing, p.rx_cosine))
         tx = steering_vector(SteeringGeometry(2, spacing, p.tx_cosine))
         h += np.sqrt(p.transmissivity) * np.exp(-1j * p.phase) * np.outer(rx, tx.conj())
-    return decompose_channel(h, rank_tolerance).require_physical()
+    return decompose_channel(h).require_physical()
 
 
 def build_clutter_channel(
@@ -389,7 +386,6 @@ def build_clutter_channel(
     n_tag: int,
     n_rx: int,
     spacing: float,
-    rank_tolerance: float = DEFAULT_RANK_TOL,
 ) -> ChannelMatrix:
     """Compose reader-to-tag and tag-to-reader clutter scattering.
 
@@ -414,7 +410,7 @@ def build_clutter_channel(
         tag = steering_vector(SteeringGeometry(n_tag, spacing, p.tag_cosine))
         h_r += np.sqrt(p.transmissivity) * np.exp(-1j * p.phase) * np.outer(far, tag.conj())
 
-    return decompose_channel(h_r @ h_t, rank_tolerance).require_physical()
+    return decompose_channel(h_r @ h_t).require_physical()
 
 
 @dataclass(frozen=True)

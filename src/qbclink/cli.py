@@ -78,13 +78,18 @@ class _Config:
             return str(value)
         if key.type is not float and key.type is not int:
             return key.type(name, value)
-        noun = "a number" if key.type is float else "an integer"
-        if key.type is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"key '{name}' must be {noun}, got {value!r}")
-        try:
-            return key.type(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key '{name}' must be {noun}, got {value!r}") from None
+        return _number(name, key.type, value)
+
+
+def _number(name: str, kind, value):
+    """``value`` as ``kind`` (float or int), or a ConfigError naming key ``name``."""
+    noun = "a number" if kind is float else "an integer"
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"key '{name}' must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key '{name}' must be {noun}, got {value!r}") from None
 
 
 def _merge_config(args, keys) -> _Config:
@@ -152,7 +157,7 @@ def _path_list(factory, fields):
             for field in fields:
                 if field not in entry:
                     raise ConfigError(f"{where}: missing required key '{field}'")
-                numbers.append(float(entry[field]))
+                numbers.append(_number(f"{where}.{field}", float, entry[field]))
             paths.append(factory(*numbers))
         return paths
 
@@ -286,6 +291,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _merge_config(args, ())  # no keys: rejects any the config or --set names
     unitary = io.read_matrix(args.input)
     try:
         result = mesh.clements_decompose(unitary)
@@ -375,6 +381,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _merge_config(args, _ORACLE_KEYS)
+    for name in ("trials", "max_n"):
+        if cfg[name] < 1:
+            raise ConfigError(f"key '{name}' must be at least 1, got {cfg[name]}")
     params = qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9)
     worst = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
     for name, value in worst.items():

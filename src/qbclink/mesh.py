@@ -130,15 +130,14 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def clements_decompose(
-    u: np.ndarray, atol: float = INPUT_UNITARITY_TOL
-) -> BeamSplitterMesh:
+def clements_decompose(u: np.ndarray) -> BeamSplitterMesh:
     """Factor a unitary into a rectangular coupler mesh.
 
     Parameters
     ----------
     u : ndarray
-        Square unitary; inputs failing ``max|U U† - I| <= atol`` are rejected.
+        Square unitary; inputs failing
+        ``max|U U† - I| <= INPUT_UNITARITY_TOL`` are rejected.
         The gate is looser than the reconstruction tolerance so slightly noisy
         SVD factors still decompose.
 
@@ -151,7 +150,7 @@ def clements_decompose(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NonUnitaryInputError(float("inf"))
     residual = unitarity_residual(u)
-    if residual > atol:
+    if residual > INPUT_UNITARITY_TOL:
         raise NonUnitaryInputError(residual)
 
     n = u.shape[0]

@@ -144,25 +144,23 @@ def _square_matrix(cm: ChannelMatrix) -> np.ndarray:
 
 
 def pmimo_interference(
-    cm: ChannelMatrix, params: QiParams, m: int, coherent: bool = True
-) -> float:
-    """Effective noise photons at receiver ``m`` (0-based) of a paired array.
+    cm: ChannelMatrix, params: QiParams, coherent: bool = True
+) -> np.ndarray:
+    """Effective noise photons at every receiver of a paired array.
 
-    All other transmitters raise the thermal floor.  By default their
-    amplitudes are summed coherently, ``|sum_{n != m} h_mn|^2 * Ns + Nz``;
-    ``coherent=False`` switches to the incoherent power sum
-    ``sum_{n != m} |h_mn|^2 * Ns + Nz``, which is what independent sources
-    produce per realization.  The two agree in expectation for zero-mean
-    fading.
+    Entry m is the thermal floor of receiver m raised by all other
+    transmitters.  By default their amplitudes are summed coherently,
+    ``|sum_{n != m} h_mn|^2 * Ns + Nz``; ``coherent=False`` switches to the
+    incoherent power sum ``sum_{n != m} |h_mn|^2 * Ns + Nz``, which is what
+    independent sources produce per realization.  The two agree in
+    expectation for zero-mean fading.
     """
     h = _square_matrix(cm)
-    if not 0 <= m < h.shape[0]:
-        raise IndexError(f"receiver index {m} out of range for {h.shape[0]} pairs")
-    row = np.delete(h[m, :], m)
+    cross = h - np.diag(np.diag(h))
     if coherent:
-        power = abs(np.sum(row)) ** 2
+        power = np.abs(np.sum(cross, axis=1)) ** 2
     else:
-        power = float(np.sum(np.abs(row) ** 2))
+        power = np.sum(np.abs(cross) ** 2, axis=1)
     return power * params.n_signal + params.n_thermal
 
 
@@ -172,23 +170,17 @@ def pmimo_snr(cm: ChannelMatrix, params: QiParams, coherent: bool = True) -> flo
     Each pair m contributes ``Ns |h_mm|^2 / N_I_m`` with the interference
     noise of :func:`pmimo_interference`.
     """
-    h = _square_matrix(cm)
-    total = 0.0
-    for m in range(h.shape[0]):
-        signal = params.n_signal * abs(h[m, m]) ** 2
-        total += signal / pmimo_interference(cm, params, m, coherent=coherent)
-    return total
+    signal = params.n_signal * np.abs(np.diag(cm.matrix)) ** 2
+    return float(np.sum(signal / pmimo_interference(cm, params, coherent)))
 
 
 def pmimo_snr_ensemble(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
     """Ensemble-symmetric paired-MIMO SNR for baseline SISO SNR ``beta``.
 
     Closed form under the symmetric coupling ``|h_mn|^2 = (r/N_t) eta``:
-    ``N_r (r/N_t) beta / ((N_t - 1)(r/N_t) beta + 1)``.
+    ``beta`` times :func:`pmimo_mode_ratio`.
     """
-    _check_ensemble_args(n_tx, n_rx, rank, beta)
-    share = rank / n_tx
-    return n_rx * share * beta / ((n_tx - 1) * share * beta + 1.0)
+    return beta * pmimo_mode_ratio(n_tx, n_rx, rank, beta)
 
 
 def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
@@ -197,12 +189,6 @@ def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
     Equals ``N_r (r/N_t) / ((N_t - 1)(r/N_t) beta + 1)``; approaches
     ``r / (r beta + 1)`` as the square array grows.
     """
-    _check_ensemble_args(n_tx, n_rx, rank, beta)
-    share = rank / n_tx
-    return n_rx * share / ((n_tx - 1) * share * beta + 1.0)
-
-
-def _check_ensemble_args(n_tx, n_rx, rank, beta):
     if n_tx != n_rx or n_tx < 1:
         raise ProtocolMismatchError(
             f"paired MIMO needs n_tx == n_rx >= 1, got {n_tx}, {n_rx}"
@@ -211,6 +197,8 @@ def _check_ensemble_args(n_tx, n_rx, rank, beta):
         raise ValueError(f"rank must lie in [1, {n_tx}], got {rank}")
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
+    share = rank / n_tx
+    return n_rx * share / ((n_tx - 1) * share * beta + 1.0)
 
 
 def emimo_snr(cm: ChannelMatrix, params: QiParams) -> float:

@@ -169,6 +169,17 @@ class TestDecompose:
         assert code == 1
         assert "residual" in err
 
+    def test_config_keys_rejected_and_empty_config_accepted(self, capsys, tmp_path):
+        matrix_file = tmp_path / "i.txt"
+        io.write_matrix(matrix_file, np.eye(2, dtype=complex))
+        code, _, err = run(capsys, ["decompose", str(matrix_file), "--set", "foo=1"])
+        assert code == 2
+        assert "unknown key 'foo'" in err
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        code, _, _ = run(capsys, ["decompose", str(matrix_file), "--config", str(cfg)])
+        assert code == 0
+
 
 class TestBer:
     def test_half_error_grid_point(self, capsys):
@@ -267,6 +278,19 @@ class TestChannelCommand:
         assert code == 2
         assert f"key '{key}'" in err
 
+    def test_non_numeric_path_field_named(self, capsys, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(
+            "kind = two_path\nspacing = 0.5\n"
+            "paths[0].eta = 0.01\npaths[0].phase = 0\n"
+            "paths[0].omega_r = 0\npaths[0].omega_t = 0\n"
+            "paths[1].eta = 0.01\npaths[1].phase = abc\n"
+            "paths[1].omega_r = 1\npaths[1].omega_t = 1\n"
+        )
+        code, _, err = run(capsys, ["channel", "--config", str(cfg)])
+        assert code == 2
+        assert "key 'paths[1].phase'" in err
+
 
 class TestOracleCommand:
     def test_oracle_passes_and_reports(self, capsys):
@@ -277,6 +301,18 @@ class TestOracleCommand:
         assert float(lines["emimo_max_moment_rel"]) <= 1e-9
         assert float(lines["pmimo_max_photon_rel"]) <= 1e-9
         assert lines["ok"] == "true"
+
+    @pytest.mark.parametrize("override", ["trials=0", "trials=-3", "max_n=0"])
+    def test_counts_below_one_rejected_before_any_trial(
+        self, capsys, monkeypatch, override
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("an oracle trial ran")
+
+        monkeypatch.setattr("qbclink.gaussian.run_oracle", no_trial)
+        code, _, err = run(capsys, ["oracle", "--set", override])
+        assert code == 2
+        assert f"key '{override.split('=')[0]}'" in err
 
 
 # one raw text per source (file, flag, --set) for each type in the key tables

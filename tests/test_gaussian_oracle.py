@@ -172,7 +172,7 @@ class TestPairedProtocolOracle:
             # Nz; the passive model delivers (1 - row_power) Nz exactly
             expected = (
                 PARAMS.n_signal * abs(h[m, m]) ** 2
-                + pmimo_interference(cm, PARAMS, m, coherent=False)
+                + pmimo_interference(cm, PARAMS, coherent=False)[m]
                 - PARAMS.n_thermal * row_power
             )
             assert out.photon_number(m) == pytest.approx(expected, rel=1e-9)
@@ -196,7 +196,7 @@ class TestPairedProtocolOracle:
         out = propagate(state, smap, nmap, PARAMS.n_thermal)
         for m in range(6):
             idealized = (
-                pmimo_interference(cm, PARAMS, m, coherent=False)
+                pmimo_interference(cm, PARAMS, coherent=False)[m]
                 + PARAMS.n_signal * abs(cm.matrix[m, m]) ** 2
             )
             row_power = np.sum(np.abs(cm.matrix[m, :]) ** 2)

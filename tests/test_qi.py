@@ -15,6 +15,7 @@ from qbclink import (
     emimo_snr,
     pmimo_interference,
     pmimo_mode_ratio,
+    pmimo_setup,
     pmimo_snr,
     pmimo_snr_ensemble,
     protocol_reports,
@@ -117,21 +118,21 @@ class TestPairedMimo:
     def test_diagonal_channel_sees_thermal_floor_only(self):
         cm = decompose_channel(0.01 * np.eye(4))
         for m in range(4):
-            assert pmimo_interference(cm, PARAMS, m) == PARAMS.n_thermal
+            assert pmimo_interference(cm, PARAMS)[m] == PARAMS.n_thermal
 
     def test_single_off_diagonal_term(self):
         h = np.array([[0.1, 0.05], [0.0, 0.1]], dtype=complex)
         cm = decompose_channel(h)
         expected = 0.05**2 * PARAMS.n_signal + PARAMS.n_thermal
-        assert pmimo_interference(cm, PARAMS, 0) == pytest.approx(expected, rel=1e-14)
-        assert pmimo_interference(cm, PARAMS, 1) == PARAMS.n_thermal
+        assert pmimo_interference(cm, PARAMS)[0] == pytest.approx(expected, rel=1e-14)
+        assert pmimo_interference(cm, PARAMS)[1] == PARAMS.n_thermal
 
     def test_coherent_vs_incoherent_sums(self):
         h = np.array([[0.1, 0.05, -0.05], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
         cm = decompose_channel(h)
         # opposite-sign entries cancel coherently but not incoherently
-        assert pmimo_interference(cm, PARAMS, 0) == PARAMS.n_thermal
-        incoherent = pmimo_interference(cm, PARAMS, 0, coherent=False)
+        assert pmimo_interference(cm, PARAMS)[0] == PARAMS.n_thermal
+        incoherent = pmimo_interference(cm, PARAMS, coherent=False)[0]
         assert incoherent == pytest.approx(
             2 * 0.05**2 * PARAMS.n_signal + PARAMS.n_thermal, rel=1e-14
         )
@@ -152,19 +153,29 @@ class TestPairedMimo:
         rng = np.random.default_rng(10)
         cm = random_physical_channel(rng, 8, 8, norm=0.3)
         h = cm.matrix
-        total = 0.0
-        for m in range(8):
-            own = PARAMS.n_signal * abs(h[m, m]) ** 2
-            inter = abs(np.sum(h[m, :]) - h[m, m]) ** 2 * PARAMS.n_signal
-            total += own / (inter + PARAMS.n_thermal)
-        assert pmimo_snr(cm, PARAMS) == pytest.approx(total, rel=1e-12)
+        for coherent in (True, False):
+            total = 0.0
+            for m in range(8):
+                own = PARAMS.n_signal * abs(h[m, m]) ** 2
+                if coherent:
+                    power = abs(np.sum(h[m, :]) - h[m, m]) ** 2
+                else:
+                    power = np.sum(np.abs(h[m, :]) ** 2) - abs(h[m, m]) ** 2
+                noise = power * PARAMS.n_signal + PARAMS.n_thermal
+                assert pmimo_interference(cm, PARAMS, coherent)[m] == pytest.approx(
+                    noise, rel=1e-12
+                )
+                total += own / noise
+            assert pmimo_snr(cm, PARAMS, coherent) == pytest.approx(total, rel=1e-12)
 
     def test_rectangular_channel_rejected(self):
         cm = decompose_channel(0.1 * np.ones((2, 3)))
         with pytest.raises(ProtocolMismatchError):
             pmimo_snr(cm, PARAMS)
         with pytest.raises(ProtocolMismatchError):
-            pmimo_interference(cm, PARAMS, 0)
+            pmimo_interference(cm, PARAMS)[0]
+        with pytest.raises(ProtocolMismatchError):
+            pmimo_setup(cm, PARAMS)
 
 
 class TestEnsembleClosedForms:
