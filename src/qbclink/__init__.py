@@ -2,6 +2,7 @@
 
 from .channel import (
     ChannelMatrix,
+    ChannelStack,
     ClutterPath,
     FadingSpec,
     LinkBudget,
@@ -12,9 +13,11 @@ from .channel import (
     build_clutter_channel,
     build_two_path_channel,
     decompose_channel,
+    decompose_stack,
     noise_loading,
     round_trip_transmissivity,
     sample_double_rayleigh,
+    sample_double_rayleigh_stack,
     siso_beam_splitter,
     steering_vector,
 )
@@ -60,10 +63,12 @@ from .qi import (
     eigen_channels,
     emimo_mode_ratio,
     emimo_snr,
+    emimo_snr_stack,
     pmimo_interference,
     pmimo_mode_ratio,
     pmimo_snr,
     pmimo_snr_ensemble,
+    pmimo_snr_stack,
     protocol_reports,
     relative_gain,
     siso_snr,

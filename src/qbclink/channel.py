@@ -15,7 +15,7 @@ for randomly placed clutter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -274,7 +274,7 @@ class ChannelMatrix:
     @property
     def trace_power(self) -> float:
         """``trace(H H†)``, the summed eigen-channel transmissivities."""
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        return float(_trace_power(self.matrix))
 
     def require_physical(self) -> "ChannelMatrix":
         if not self.is_physical:
@@ -285,58 +285,152 @@ class ChannelMatrix:
 
     def reconstruction_residual(self) -> float:
         """Max-entry deviation of ``U S V†`` from the stored matrix."""
-        n_rx, n_tx = self.matrix.shape
-        sigma = np.zeros((n_rx, n_tx))
-        k = self.singular_values.size
-        sigma[:k, :k] = np.diag(self.singular_values)
-        rebuilt = self.u @ sigma @ self.v.conj().T
-        return float(np.max(np.abs(rebuilt - self.matrix)))
+        return float(
+            _reconstruction_residual(self.matrix, self.u, self.singular_values, _dagger(self.v))
+        )
 
 
-def decompose_channel(
+@dataclass(frozen=True)
+class ChannelStack:
+    """Channels of one shape factorized together, stacked on a leading axis.
+
+    The fields are those of :class:`ChannelMatrix` with one more leading
+    axis (``rank`` is an integer array); ``stack[i]`` is channel i.
+    """
+
+    matrix: np.ndarray
+    u: np.ndarray
+    singular_values: np.ndarray
+    v: np.ndarray
+    rank: np.ndarray
+
+    @classmethod
+    def of(cls, cm: ChannelMatrix) -> "ChannelStack":
+        """The stack holding ``cm`` alone."""
+        return cls(
+            cm.matrix[None], cm.u[None], cm.singular_values[None], cm.v[None], np.array([cm.rank])
+        )
+
+    def __setitem__(self, index, other: "ChannelStack") -> None:
+        """Overwrite the channels at ``index`` with those of ``other``."""
+        for f in fields(self):
+            getattr(self, f.name)[index] = getattr(other, f.name)
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __getitem__(self, i: int) -> ChannelMatrix:
+        return ChannelMatrix(
+            matrix=self.matrix[i],
+            u=self.u[i],
+            singular_values=self.singular_values[i],
+            v=self.v[i],
+            rank=int(self.rank[i]),
+        )
+
+    @property
+    def n_rx(self) -> int:
+        return self.matrix.shape[-2]
+
+    @property
+    def n_tx(self) -> int:
+        return self.matrix.shape[-1]
+
+    @property
+    def spectral_norm(self) -> np.ndarray:
+        s = self.singular_values
+        return s[:, 0] if s.shape[-1] else np.zeros(len(self))
+
+    @property
+    def is_physical(self) -> np.ndarray:
+        """Mask of the channels that can act passively (spectral norm <= 1)."""
+        return self.spectral_norm <= 1.0 + PHYSICALITY_SLACK
+
+    @property
+    def trace_power(self) -> np.ndarray:
+        """``trace(H H†)`` of each channel."""
+        return _trace_power(self.matrix)
+
+    def require_physical(self) -> "ChannelStack":
+        bad = ~self.is_physical
+        if bad.any():
+            raise NonPhysicalChannelError(
+                f"spectral norm {self.spectral_norm[bad][0]:.6g} exceeds 1"
+            )
+        return self
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _trace_power(h: np.ndarray) -> np.ndarray:
+    """``sum |h|^2`` over the last two axes."""
+    return np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
+
+
+def _reconstruction_residual(h, u, s, vh) -> np.ndarray:
+    """Max-entry deviation of ``U S V†`` from ``h``, over the last two axes."""
+    k = s.shape[-1]
+    rebuilt = (u[..., :k] * s[..., None, :]) @ vh[..., :k, :]
+    return np.max(np.abs(rebuilt - h), axis=(-2, -1))
+
+
+def decompose_stack(
     h: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> ChannelMatrix:
-    """Factorize a raw channel into its eigen-channel form.
+) -> ChannelStack:
+    """Factorize a ``(B, n_rx, n_tx)`` stack of raw channels at once.
+
+    Every channel of the stack gets every sanity check: finite entries, a
+    reconstruction residual within ``RECONSTRUCTION_TOL * max(s_0, 1)``, and
+    unitary SVD factors.  Physicality is left to
+    :attr:`ChannelStack.is_physical`, since samplers reject rather than raise.
 
     Parameters
     ----------
     h : ndarray
-        Complex matrix with finite entries.
+        Complex ``(B, n_rx, n_tx)`` stack with finite entries.
     rank_tolerance : float
         Relative singular-value threshold for the numerical rank.
 
     Raises
     ------
     ValueError
-        On non-finite input or if the factorization fails to reproduce the
-        input within tolerance (which indicates a broken LAPACK build).
+        On non-finite input or if the factorization of any channel fails to
+        reproduce it within tolerance (which indicates a broken LAPACK build).
     """
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    if not np.all(np.isfinite(h)):
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 3:
+        raise ValueError(f"expected a (B, n_rx, n_tx) stack, got shape {h.shape}")
+    if not np.isfinite(h).all():
         raise ValueError("channel matrix has non-finite entries")
     if rank_tolerance <= 0:
         raise ValueError(f"rank_tolerance must be positive, got {rank_tolerance}")
 
     u, s, vh = np.linalg.svd(h, full_matrices=True)
-    top = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tolerance * top)) if top > 0 else 0
-    cm = ChannelMatrix(
-        matrix=h,
-        u=u,
-        singular_values=s,
-        v=vh.conj().T,
-        rank=rank,
-    )
+    # s[:, :1] is the largest singular value; a zero channel has rank 0
+    rank = np.sum(s > rank_tolerance * s[:, :1], axis=-1)
+    stack = ChannelStack(matrix=h, u=u, singular_values=s, v=_dagger(vh), rank=rank)
 
-    scale = max(top, 1.0)
-    if cm.reconstruction_residual() > RECONSTRUCTION_TOL * scale:
+    # written as "not within" so that a NaN from a broken factorization fails
+    scale = np.maximum(stack.spectral_norm, 1.0)
+    if not (_reconstruction_residual(h, u, s, vh) <= RECONSTRUCTION_TOL * scale).all():
         raise ValueError("SVD reconstruction residual exceeds tolerance")
     for factor in (u, vh):
-        n = factor.shape[0]
-        gap = np.max(np.abs(factor @ factor.conj().T - np.eye(n)))
-        if gap > UNITARITY_TOL:
+        gap = np.abs(factor @ _dagger(factor) - np.eye(factor.shape[-1]))
+        if not (gap <= UNITARITY_TOL).all():
             raise ValueError("SVD factor failed the unitarity check")
-    return cm
+    return stack
+
+
+def decompose_channel(
+    h: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL
+) -> ChannelMatrix:
+    """Factorize a raw channel into its eigen-channel form: the one-channel
+    case of :func:`decompose_stack`, with the same checks and errors."""
+    h = np.atleast_2d(np.asarray(h, dtype=complex))
+    return decompose_stack(h[None], rank_tolerance)[0]
 
 
 @dataclass(frozen=True)
@@ -445,47 +539,81 @@ class FadingSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def sample_double_rayleigh(spec: FadingSpec, draw, return_rejections: bool = False):
-    """Draw one double-Rayleigh channel, deterministically in ``(seed, draw)``.
+def _fading_draws(spec: FadingSpec, paths, attempt: int) -> np.ndarray:
+    """The raw channels of ``attempt`` at each draw path, stacked.
+
+    Each draw takes its normals (inbound real and imaginary parts, then
+    outbound) in one run from its own ``substream(seed, *path, attempt)``;
+    only the arithmetic on them runs over the stack.
+    """
+    # std per real component: per-entry complex variance is sqrt(eta / n_tx)
+    scale = np.sqrt(np.sqrt(spec.reference_rtt / spec.n_tx) / 2.0)
+    n_in = spec.n_tag * spec.n_tx
+    normals = np.empty((len(paths), 2 * n_in + 2 * spec.n_rx * spec.n_tag))
+    for i, path in enumerate(paths):
+        substream(spec.seed, *path, attempt).standard_normal(out=normals[i])
+    t = normals[:, : 2 * n_in].reshape(-1, 2, spec.n_tag, spec.n_tx)
+    r = normals[:, 2 * n_in :].reshape(-1, 2, spec.n_rx, spec.n_tag)
+    h_t = scale * (t[:, 0] + 1j * t[:, 1])
+    h_r = scale * (r[:, 0] + 1j * r[:, 1])
+    return h_r @ h_t
+
+
+def sample_double_rayleigh_stack(spec: FadingSpec, draws):
+    """Draw a stack of double-Rayleigh channels, each deterministic in
+    ``(seed, draw)`` alone.
 
     Both hop matrices have i.i.d. circularly-symmetric complex Gaussian
     entries with per-entry variance ``sqrt(reference_rtt / n_tx)``, making the
     ensemble mean of ``trace(H H†)`` equal ``n_tag * n_rx * reference_rtt``.
 
-    Samples whose spectral norm exceeds one are non-physical and are
-    rejection-resampled (each attempt has its own substream, preserving
-    determinism); the rejection count is available via ``return_rejections``.
+    Samples whose spectral norm exceeds one are non-physical.  Each rejected
+    draw alone is drawn again at the next attempt from its own substream, so
+    a channel never depends on the other draws of the stack.
 
     Parameters
     ----------
     spec : FadingSpec
-    draw : int or tuple of int
-        Index (or index path) of this draw within the seeded ensemble.
+    draws : sequence of int or tuple of int
+        Index (or index path) of each draw within the seeded ensemble.
+
+    Returns
+    -------
+    ``(ChannelStack, ndarray)``: the channels in ``draws`` order and how many
+    non-physical samples each draw rejected.
+
+    Raises
+    ------
+    NonPhysicalChannelError
+        When a draw is non-physical ``MAX_RESAMPLES`` times in a row.
+    """
+    paths = [(d,) if np.isscalar(d) else tuple(d) for d in draws]
+    rejections = np.zeros(len(paths), dtype=int)
+    pending = np.arange(len(paths))
+    for attempt in range(MAX_RESAMPLES):
+        stack = decompose_stack(_fading_draws(spec, [paths[i] for i in pending], attempt))
+        if attempt == 0:
+            channels = stack
+        else:
+            channels[pending] = stack
+        pending = pending[~stack.is_physical]
+        if not pending.size:
+            return channels, rejections
+        rejections[pending] += 1
+    raise NonPhysicalChannelError(
+        f"{MAX_RESAMPLES} consecutive fading draws were non-physical; "
+        f"reference_rtt={spec.reference_rtt} is set too high"
+    )
+
+
+def sample_double_rayleigh(spec: FadingSpec, draw, return_rejections: bool = False):
+    """Draw one double-Rayleigh channel, deterministically in ``(seed, draw)``:
+    the one-draw case of :func:`sample_double_rayleigh_stack`.
 
     Returns
     -------
     ChannelMatrix, or ``(ChannelMatrix, int)`` when ``return_rejections``.
     """
-    path = (draw,) if np.isscalar(draw) else tuple(draw)
-    # std per real component: per-entry complex variance is sqrt(eta / n_tx)
-    scale = np.sqrt(np.sqrt(spec.reference_rtt / spec.n_tx) / 2.0)
-
-    rejections = 0
-    for attempt in range(MAX_RESAMPLES):
-        rng = substream(spec.seed, *path, attempt)
-        h_t = scale * (
-            rng.standard_normal((spec.n_tag, spec.n_tx))
-            + 1j * rng.standard_normal((spec.n_tag, spec.n_tx))
-        )
-        h_r = scale * (
-            rng.standard_normal((spec.n_rx, spec.n_tag))
-            + 1j * rng.standard_normal((spec.n_rx, spec.n_tag))
-        )
-        cm = decompose_channel(h_r @ h_t)
-        if cm.is_physical:
-            return (cm, rejections) if return_rejections else cm
-        rejections += 1
-    raise NonPhysicalChannelError(
-        f"{MAX_RESAMPLES} consecutive fading draws were non-physical; "
-        f"reference_rtt={spec.reference_rtt} is set too high"
-    )
+    stack, rejections = sample_double_rayleigh_stack(spec, [draw])
+    cm = stack[0]
+    return (cm, int(rejections[0])) if return_rejections else cm

@@ -385,12 +385,13 @@ def cmd_oracle(args) -> int:
         if cfg[name] < 1:
             raise ConfigError(f"key '{name}' must be at least 1, got {cfg[name]}")
     params = qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9)
-    worst = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
-    for name, value in worst.items():
+    report = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
+    for name, value in report.worst.items():
         print(f"{name},{value:.17g}")
-    ok = all(worst[name] <= tol for name, tol in gaussian.ORACLE_TOLERANCES.items())
-    print(f"ok,{str(ok).lower()}")
-    return 0 if ok else 1
+    print(f"worst_trial,{report.worst_trial}")
+    print(f"worst_n,{report.worst_n}")
+    print(f"ok,{str(report.ok).lower()}")
+    return 0 if report.ok else 1
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -10,7 +10,8 @@ Physical maps preserve the output commutators, which pins ``A A† + B B† = I`
 :func:`propagate` enforces this before mapping moments.
 
 :func:`run_oracle_checks` compares one channel's propagated moments with the
-closed forms; :func:`run_oracle` repeats it over seeded random channels.
+closed forms; :func:`run_oracle` repeats it over the seeded random channels of
+:func:`oracle_channel` and names the worst trial.
 """
 
 from __future__ import annotations
@@ -328,19 +329,43 @@ def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:
     }
 
 
-def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> dict:
-    """Worst deviation of each oracle check over ``trials`` random channels.
+def oracle_channel(seed: int, trial: int, max_n: int = 8) -> ChannelMatrix:
+    """The random channel of oracle trial ``trial``: from
+    ``substream(seed, trial)``, a square channel of size n in [1, max_n]
+    scaled to a spectral norm in [0.05, 0.95]."""
+    rng = substream(seed, trial)
+    n = int(rng.integers(1, max_n + 1))
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw *= rng.uniform(0.05, 0.95) / np.linalg.svd(raw, compute_uv=False)[0]
+    return decompose_channel(raw)
 
-    Trial i draws, from ``substream(seed, i)``, a square channel of size n in
-    [1, max_n] scaled to a spectral norm in [0.05, 0.95].
-    """
+
+@dataclass(frozen=True)
+class OracleReport:
+    """Worst deviation of each oracle check over a run, and the trial (with
+    its channel size ``worst_n``) whose largest deviation-to-tolerance ratio
+    is the run's largest; ``oracle_channel(seed, worst_trial)`` rebuilds it."""
+
+    worst: dict
+    worst_trial: int
+    worst_n: int
+
+    @property
+    def ok(self) -> bool:
+        return all(self.worst[name] <= tol for name, tol in ORACLE_TOLERANCES.items())
+
+
+def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> OracleReport:
+    """Run the oracle checks on the channels of trials ``0..trials-1`` of
+    :func:`oracle_channel`."""
     worst = dict.fromkeys(ORACLE_TOLERANCES, 0.0)
+    worst_ratio, worst_trial, worst_n = -1.0, 0, 0
     for i in range(trials):
-        rng = substream(seed, i)
-        n = int(rng.integers(1, max_n + 1))
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        raw *= rng.uniform(0.05, 0.95) / np.linalg.svd(raw, compute_uv=False)[0]
-        checks = run_oracle_checks(decompose_channel(raw), params)
+        cm = oracle_channel(seed, i, max_n)
+        checks = run_oracle_checks(cm, params)
         for name in worst:
             worst[name] = max(worst[name], checks[name])
-    return worst
+        ratio = max(checks[name] / tol for name, tol in ORACLE_TOLERANCES.items())
+        if ratio > worst_ratio:
+            worst_ratio, worst_trial, worst_n = ratio, i, cm.n_rx
+    return OracleReport(worst, worst_trial, worst_n)

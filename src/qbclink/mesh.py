@@ -12,7 +12,7 @@ Coupler convention, fixed so serialized meshes are portable::
                      [exp(i phi) sin(theta),  cos(theta)]]
 
 with ``theta`` in [0, pi/2] and ``phi`` in [0, 2 pi).  ``reconstruct``
-multiplies the element embeddings in application order and applies the output
+applies the couplers to their row pairs in application order and the output
 phases last.
 """
 
@@ -87,11 +87,16 @@ def element_unitary(element: MeshElement, dimension: int) -> np.ndarray:
 
 
 def reconstruct(mesh: BeamSplitterMesh) -> np.ndarray:
-    """Multiply out a mesh: elements in application order, phases last."""
+    """Multiply out a mesh: elements in application order, phases last.
+
+    Each coupler mixes only its two rows, so the product costs O(N^3)
+    rather than the O(N^5) of multiplying full embeddings.
+    """
     u = np.eye(mesh.dimension, dtype=complex)
     for el in mesh.elements:
-        u = element_unitary(el, mesh.dimension) @ u
-    return np.diag(np.exp(1j * mesh.output_phases)) @ u
+        rows = slice(el.port, el.port + 2)
+        u[rows] = el.block() @ u[rows]
+    return np.exp(1j * mesh.output_phases)[:, None] * u
 
 
 def _solve_right(a: complex, b: complex):

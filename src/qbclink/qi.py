@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, ChannelStack
 from .errors import ProtocolMismatchError
 
 
@@ -134,7 +134,7 @@ def chernoff_ber(beta: float, modes: float) -> float:
     return float(np.exp(-beta * modes))
 
 
-def _square_matrix(cm: ChannelMatrix) -> np.ndarray:
+def _square_matrix(cm: ChannelMatrix | ChannelStack) -> np.ndarray:
     if cm.n_rx != cm.n_tx:
         raise ProtocolMismatchError(
             f"paired MIMO needs n_tx == n_rx transceiver pairs, "
@@ -143,35 +143,51 @@ def _square_matrix(cm: ChannelMatrix) -> np.ndarray:
     return cm.matrix
 
 
-def pmimo_interference(
-    cm: ChannelMatrix, params: QiParams, coherent: bool = True
+def pmimo_interference_stack(
+    stack: ChannelStack, params: QiParams, coherent: bool = True
 ) -> np.ndarray:
-    """Effective noise photons at every receiver of a paired array.
+    """Effective noise photons at every receiver of each paired array.
 
-    Entry m is the thermal floor of receiver m raised by all other
-    transmitters.  By default their amplitudes are summed coherently,
-    ``|sum_{n != m} h_mn|^2 * Ns + Nz``; ``coherent=False`` switches to the
-    incoherent power sum ``sum_{n != m} |h_mn|^2 * Ns + Nz``, which is what
-    independent sources produce per realization.  The two agree in
-    expectation for zero-mean fading.
+    Entry ``[i, m]`` is the thermal floor of receiver m of channel i raised by
+    all other transmitters.  By default their amplitudes are summed
+    coherently, ``|sum_{n != m} h_mn|^2 * Ns + Nz``; ``coherent=False``
+    switches to the incoherent power sum ``sum_{n != m} |h_mn|^2 * Ns + Nz``,
+    which is what independent sources produce per realization.  The two agree
+    in expectation for zero-mean fading.
     """
-    h = _square_matrix(cm)
-    cross = h - np.diag(np.diag(h))
+    h = _square_matrix(stack)
+    cross = np.where(np.eye(stack.n_tx, dtype=bool), 0.0, h)
     if coherent:
-        power = np.abs(np.sum(cross, axis=1)) ** 2
+        power = np.abs(np.sum(cross, axis=-1)) ** 2
     else:
-        power = np.sum(np.abs(cross) ** 2, axis=1)
+        power = np.sum(np.abs(cross) ** 2, axis=-1)
     return power * params.n_signal + params.n_thermal
 
 
-def pmimo_snr(cm: ChannelMatrix, params: QiParams, coherent: bool = True) -> float:
-    """Maximal-ratio-combined SNR of the paired protocol.
+def pmimo_interference(
+    cm: ChannelMatrix, params: QiParams, coherent: bool = True
+) -> np.ndarray:
+    """:func:`pmimo_interference_stack` of one channel: entry m is the noise
+    photons at receiver m."""
+    return pmimo_interference_stack(ChannelStack.of(cm), params, coherent)[0]
+
+
+def pmimo_snr_stack(
+    stack: ChannelStack, params: QiParams, coherent: bool = True
+) -> np.ndarray:
+    """Maximal-ratio-combined SNR of the paired protocol on each channel.
 
     Each pair m contributes ``Ns |h_mm|^2 / N_I_m`` with the interference
-    noise of :func:`pmimo_interference`.
+    noise of :func:`pmimo_interference_stack`.
     """
-    signal = params.n_signal * np.abs(np.diag(cm.matrix)) ** 2
-    return float(np.sum(signal / pmimo_interference(cm, params, coherent)))
+    diagonal = np.diagonal(stack.matrix, axis1=-2, axis2=-1)
+    signal = params.n_signal * np.abs(diagonal) ** 2
+    return np.sum(signal / pmimo_interference_stack(stack, params, coherent), axis=-1)
+
+
+def pmimo_snr(cm: ChannelMatrix, params: QiParams, coherent: bool = True) -> float:
+    """:func:`pmimo_snr_stack` of one channel."""
+    return float(pmimo_snr_stack(ChannelStack.of(cm), params, coherent)[0])
 
 
 def pmimo_snr_ensemble(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
@@ -201,14 +217,19 @@ def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
     return n_rx * share / ((n_tx - 1) * share * beta + 1.0)
 
 
-def emimo_snr(cm: ChannelMatrix, params: QiParams) -> float:
-    """Eigen-channel protocol SNR ``trace(H H†) Ns / Nz``.
+def emimo_snr_stack(stack: ChannelStack, params: QiParams) -> np.ndarray:
+    """Eigen-channel protocol SNR ``trace(H H†) Ns / Nz`` of each channel.
 
     Precoding and beamforming along the singular vectors make the branch SNRs
     add without interference, so only the summed transmissivities matter.
     """
-    cm.require_physical()
-    return cm.trace_power * params.n_signal / params.n_thermal
+    stack.require_physical()
+    return stack.trace_power * params.n_signal / params.n_thermal
+
+
+def emimo_snr(cm: ChannelMatrix, params: QiParams) -> float:
+    """:func:`emimo_snr_stack` of one channel."""
+    return float(emimo_snr_stack(ChannelStack.of(cm), params)[0])
 
 
 def emimo_mode_ratio(rank: int, n_rx: int) -> float:

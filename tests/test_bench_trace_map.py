@@ -1,0 +1,53 @@
+"""The benchmark's trace map must name functions that qbclink still calls
+through an import site, or ``bench/run.py --trace 1`` fails at install time.
+
+``bench/run.py`` is loaded read-only; nothing under ``bench/`` runs.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import qbclink  # noqa: F401  (imports every submodule, so every import site exists)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_trace_map():
+    # bench/run.py imports its sibling tracer; write no bytecode under bench/
+    sys.path.insert(0, str(BENCH))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("qbclink_bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+    return module.TRACED
+
+
+TRACED = _load_trace_map()
+
+
+def _import_sites(fn):
+    return [
+        (name, key)
+        for name, module in list(sys.modules.items())
+        if name == "qbclink" or name.startswith("qbclink.")
+        for key, value in vars(module).items()
+        if value is fn
+    ]
+
+
+@pytest.mark.parametrize(
+    "module_name, attr", [(m, a) for m, a, _ in TRACED], ids=[f"{m}.{a}" for m, a, _ in TRACED]
+)
+def test_traced_function_has_an_import_site(module_name, attr):
+    fn = getattr(importlib.import_module(module_name), attr, None)
+    assert inspect.isfunction(fn), f"{module_name}.{attr} is not a function"
+    assert _import_sites(fn), f"{module_name}.{attr} has no import site in qbclink"

@@ -16,11 +16,14 @@ from qbclink import (
     build_clutter_channel,
     build_two_path_channel,
     decompose_channel,
+    decompose_stack,
     noise_loading,
     round_trip_transmissivity,
     sample_double_rayleigh,
+    sample_double_rayleigh_stack,
     siso_beam_splitter,
     steering_vector,
+    substream,
 )
 
 # frozen ahead of the build with mpmath at 50 digits:
@@ -280,6 +283,78 @@ class TestDecomposeChannel:
             assert np.all(np.diff(cm.singular_values) <= 0)
 
 
+def _stack(b=6, n=5, seed=21):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
+    return 0.1 * h
+
+
+# Corruptions of one channel's SVD factors, applied in place.
+def _flip_singular_vector(u, s, vh):
+    u[:, 0] *= -1  # U stays unitary; U S V† no longer gives the channel
+
+
+def _rescale_left_factor(u, s, vh):
+    u *= 2.0  # U S V† still gives the channel; U is no longer unitary
+    s *= 0.5
+
+
+def _scale_right_factor(u, s, vh):
+    vh *= 2.0
+
+
+def _nan_in_left_factor(u, s, vh):
+    u[0, 0] = np.nan
+
+
+class TestDecomposeStack:
+    def test_each_channel_matches_its_own_svd(self):
+        h = _stack()
+        h[2] = 0.0
+        stack = decompose_stack(h)
+        assert len(stack) == len(h)
+        for i, hi in enumerate(h):
+            u, s, vh = np.linalg.svd(hi)
+            assert np.array_equal(stack[i].matrix, hi)
+            assert np.array_equal(stack[i].u, u)
+            assert np.array_equal(stack[i].singular_values, s)
+            assert np.array_equal(stack[i].v, vh.conj().T)
+            assert stack[i].rank == (0 if i == 2 else 5)
+
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_rejected(self, index, value):
+        h = _stack()
+        h[index, 4, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_stack(h)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_flip_singular_vector, "reconstruction"),
+            (_rescale_left_factor, "unitarity"),
+            (_scale_right_factor, "reconstruction"),
+            (_nan_in_left_factor, "reconstruction"),
+        ],
+    )
+    def test_corrupted_factor_of_one_channel_rejected(self, monkeypatch, corrupt, message):
+        svd = np.linalg.svd
+
+        def broken_svd(a, *args, **kwargs):
+            u, s, vh = svd(a, *args, **kwargs)
+            corrupt(u[3], s[3], vh[3])
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", broken_svd)
+        with pytest.raises(ValueError, match=message):
+            decompose_stack(_stack())
+
+    def test_shape_must_be_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            decompose_stack(np.eye(3))
+
+
 class TestNoiseLoading:
     def test_null_channel_couples_fully_to_environment(self):
         nl = noise_loading(decompose_channel(np.zeros((3, 3))))
@@ -311,6 +386,21 @@ class TestNoiseLoading:
         cm = decompose_channel(2.0 * np.eye(2))
         with pytest.raises(NonPhysicalChannelError):
             noise_loading(cm)
+
+
+def _reference_draw(spec, path):
+    """One double-Rayleigh draw, attempt by attempt: the stream layout and
+    the acceptance test the samplers must reproduce bit for bit."""
+    scale = np.sqrt(np.sqrt(spec.reference_rtt / spec.n_tx) / 2.0)
+    for attempt in range(100):
+        rng = substream(spec.seed, *path, attempt)
+        shape_t, shape_r = (spec.n_tag, spec.n_tx), (spec.n_rx, spec.n_tag)
+        h_t = scale * (rng.standard_normal(shape_t) + 1j * rng.standard_normal(shape_t))
+        h_r = scale * (rng.standard_normal(shape_r) + 1j * rng.standard_normal(shape_r))
+        h = h_r @ h_t
+        if np.linalg.svd(h)[1][0] <= 1.0 + 1e-12:
+            return h, attempt
+    raise AssertionError("reference draw never physical")
 
 
 class TestDoubleRayleigh:
@@ -362,6 +452,31 @@ class TestDoubleRayleigh:
         spec = FadingSpec(2, 2, 2, reference_rtt=1e-5, seed=5)
         _, rejections = sample_double_rayleigh(spec, 0, return_rejections=True)
         assert rejections == 0
+
+    def test_batched_rejection_path_matches_one_draw_at_a_time(self):
+        # at this power most rank-8 draws are non-physical at least once
+        spec = FadingSpec(8, 8, 8, 0.04, seed=5)
+        draws = [(8, t) for t in range(200)]
+        stack, rejections = sample_double_rayleigh_stack(spec, draws)
+        assert np.count_nonzero(rejections) == 156
+        assert rejections.max() == 23
+        for i, draw in enumerate(draws):
+            cm, rej = sample_double_rayleigh(spec, draw, return_rejections=True)
+            assert rej == rejections[i]
+            h, attempts = _reference_draw(spec, draw)
+            assert attempts == rej
+            assert np.array_equal(cm.matrix, h)
+            for name in ("matrix", "u", "singular_values", "v"):
+                assert np.array_equal(getattr(stack[i], name), getattr(cm, name))
+            assert stack[i].rank == cm.rank
+        assert np.all(stack.is_physical)
+
+    def test_exhausted_resamples_raise(self):
+        spec = FadingSpec(4, 4, 4, 0.9, seed=3)
+        with pytest.raises(NonPhysicalChannelError, match="consecutive"):
+            sample_double_rayleigh_stack(spec, range(3))
+        with pytest.raises(NonPhysicalChannelError, match="consecutive"):
+            sample_double_rayleigh(spec, 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

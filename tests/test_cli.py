@@ -302,6 +302,17 @@ class TestOracleCommand:
         assert float(lines["pmimo_max_photon_rel"]) <= 1e-9
         assert lines["ok"] == "true"
 
+    def test_worst_trial_printed_before_ok(self, capsys):
+        code, out, _ = run(
+            capsys, ["oracle", "--trials", "10", "--seed", "1", "--set", "max_n=3"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert [ln.split(",")[0] for ln in lines[-3:]] == ["worst_trial", "worst_n", "ok"]
+        fields = dict(ln.split(",") for ln in lines)
+        assert 0 <= int(fields["worst_trial"]) < 10
+        assert 1 <= int(fields["worst_n"]) <= 3
+
     @pytest.mark.parametrize("override", ["trials=0", "trials=-3", "max_n=0"])
     def test_counts_below_one_rejected_before_any_trial(
         self, capsys, monkeypatch, override

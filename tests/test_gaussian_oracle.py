@@ -15,6 +15,7 @@ from qbclink import (
     tmss_moments,
 )
 from qbclink.cli import run_oracle_checks
+from qbclink.gaussian import ORACLE_TOLERANCES, oracle_channel, run_oracle
 
 PARAMS = QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9)
 
@@ -214,3 +215,19 @@ def test_oracle_checks_pass_across_sizes():
         assert checks["emimo_max_cross"] <= 1e-10
         assert checks["emimo_max_moment_rel"] <= 1e-9
         assert checks["pmimo_max_photon_rel"] <= 1e-9
+
+
+def test_oracle_worst_trial_reproduces_from_its_seed():
+    seed, trials = 9, 60
+
+    def ratios(trial):
+        checks = run_oracle_checks(oracle_channel(seed, trial), PARAMS)
+        return checks, {name: checks[name] / tol for name, tol in ORACLE_TOLERANCES.items()}
+
+    report = run_oracle(PARAMS, trials, seed)
+    assert oracle_channel(seed, report.worst_trial).n_rx == report.worst_n
+    checks, worst = ratios(report.worst_trial)
+    name = max(worst, key=worst.get)
+    assert checks[name] == report.worst[name]
+    for trial in range(trials):
+        assert max(ratios(trial)[1].values()) <= worst[name]

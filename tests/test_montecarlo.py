@@ -6,17 +6,22 @@ import pytest
 from qbclink import (
     ChannelKind,
     ExperimentSpec,
+    FadingSpec,
     Protocol,
     QiParams,
     deterministic_channel,
     dominance_check,
+    emimo_snr,
     empirical_cdf,
     pmimo_mode_ratio,
     pmimo_snr,
     pmimo_snr_ensemble,
     run_rank_sweep,
+    sample_double_rayleigh,
 )
 from qbclink.montecarlo import (
+    FADING_BLOCK,
+    _fading_batch,
     cdf_csv_lines,
     raw_csv_lines,
     summary_csv_lines,
@@ -140,6 +145,29 @@ class TestRankSweep:
         for x, y in zip(serial, parallel):
             assert np.array_equal(x.samples, y.samples)
             assert x.rejected_samples == y.rejected_samples
+
+    @pytest.mark.parametrize("reference_rtt", [1e-5, 0.04])
+    def test_trial_ranges_and_blocks_do_not_change_results(self, reference_rtt):
+        # 0.04 makes most rank-8 draws non-physical at least once
+        spec = small_spec(n_tx=8, n_rx=8, rank_sweep=(8,), reference_rtt=reference_rtt)
+        n = 2 * FADING_BLOCK + 45
+        paired, eigen, rejected = _fading_batch(spec, 8, 0, n)
+        for k in (1, FADING_BLOCK - 1, FADING_BLOCK + 1, n - 2):
+            head = _fading_batch(spec, 8, 0, k)
+            tail = _fading_batch(spec, 8, k, n)
+            assert np.array_equal(paired, np.concatenate([head[0], tail[0]]))
+            assert np.array_equal(eigen, np.concatenate([head[1], tail[1]]))
+            assert rejected == head[2] + tail[2]
+
+        fspec = FadingSpec(8, 8, 8, reference_rtt, spec.seed)
+        rejections = 0
+        for t in range(n):
+            cm, rej = sample_double_rayleigh(fspec, (8, t), return_rejections=True)
+            rejections += rej
+            assert paired[t] == pmimo_snr(cm, spec.qi) / spec.baseline_snr
+            assert eigen[t] == emimo_snr(cm, spec.qi) / spec.baseline_snr
+        assert rejected == rejections
+        assert (rejected > n) == (reference_rtt == 0.04)
 
     def test_statistics_are_consistent(self):
         spec = small_spec(trials=300)
