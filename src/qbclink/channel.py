@@ -24,7 +24,7 @@ from .errors import (
     NonPhysicalChannelError,
     NonPhysicalLinkError,
 )
-from .rng import substream
+from .rng import standard_normals
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -543,15 +543,17 @@ def _fading_draws(spec: FadingSpec, paths, attempt: int) -> np.ndarray:
     """The raw channels of ``attempt`` at each draw path, stacked.
 
     Each draw takes its normals (inbound real and imaginary parts, then
-    outbound) in one run from its own ``substream(seed, *path, attempt)``;
-    only the arithmetic on them runs over the stack.
+    outbound) in one run from its own ``substream(seed, *path, attempt)``,
+    seeded for the whole stack at once by :func:`standard_normals`.
     """
     # std per real component: per-entry complex variance is sqrt(eta / n_tx)
     scale = np.sqrt(np.sqrt(spec.reference_rtt / spec.n_tx) / 2.0)
     n_in = spec.n_tag * spec.n_tx
-    normals = np.empty((len(paths), 2 * n_in + 2 * spec.n_rx * spec.n_tag))
-    for i, path in enumerate(paths):
-        substream(spec.seed, *path, attempt).standard_normal(out=normals[i])
+    normals = standard_normals(
+        spec.seed,
+        [(*path, attempt) for path in paths],
+        2 * n_in + 2 * spec.n_rx * spec.n_tag,
+    )
     t = normals[:, : 2 * n_in].reshape(-1, 2, spec.n_tag, spec.n_tx)
     r = normals[:, 2 * n_in :].reshape(-1, 2, spec.n_rx, spec.n_tag)
     h_t = scale * (t[:, 0] + 1j * t[:, 1])

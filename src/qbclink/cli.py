@@ -126,6 +126,15 @@ def _parse_ranks(name: str, value) -> tuple:
         ) from None
 
 
+def _seed(name: str, value) -> int:
+    """Converter for a seed: an integer in [0, 2**64 - 1], the range of a
+    fading spec and of the block seeder."""
+    seed = _number(name, int, value)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"key '{name}' must lie in [0, 2**64 - 1], got {seed}")
+    return seed
+
+
 def _choice(enum_type, what: str, fold_case: bool = False):
     """Converter looking an ``enum_type`` member up by its value."""
     members = {member.value: member for member in enum_type}
@@ -179,7 +188,7 @@ _CHANNEL_KEYS = (
     Key("nt", int, flag="--nt"),
     Key("nr", int, flag="--nr"),
     Key("eta", float, flag="--eta"),
-    Key("seed", int, flag="--seed"),
+    Key("seed", _seed, flag="--seed"),
     Key("ns", float, flag="--ns"),
     Key("nz", float, flag="--nz"),
     Key("kind", str, help="channel kind: two_path, clutter, fading", flag="--channel"),
@@ -218,7 +227,7 @@ _SWEEP_KEYS = (
     Key("ns", float, 0.01, flag="--ns"),
     Key("nz", float, 100.0, flag="--nz"),
     Key("trials", int, 10_000, flag="--trials"),
-    Key("seed", int, 0, flag="--seed"),
+    Key("seed", _seed, 0, flag="--seed"),
     Key("channel", _choice(montecarlo.ChannelKind, "channel kind"), "double-rayleigh",
         help="deterministic or double-rayleigh", flag="--channel"),
     Key("workers", int, 1),
@@ -226,7 +235,7 @@ _SWEEP_KEYS = (
 
 _ORACLE_KEYS = (
     Key("trials", int, 100, flag="--trials"),
-    Key("seed", int, 0, flag="--seed"),
+    Key("seed", _seed, 0, flag="--seed"),
     Key("ns", float, 0.01, flag="--ns"),
     Key("nz", float, 100.0, flag="--nz"),
     Key("max_n", int, 8),

@@ -42,13 +42,24 @@ def quadrature_rep(m: np.ndarray) -> np.ndarray:
     ``[[Re m, -Im m], [Im m, Re m]]``.
     """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    return _block2(m.real, -m.imag, m.imag, m.real)
+
+
+def _block2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """``np.block([[top_left, top_right], [bottom_left, bottom_right]])`` for
+    four real blocks of one shape, without ``np.block``'s nesting checks."""
+    r, c = top_left.shape
+    out = np.empty((2 * r, 2 * c))
+    out[:r, :c] = top_left
+    out[:r, c:] = top_right
+    out[r:, :c] = bottom_left
+    out[r:, c:] = bottom_right
+    return out
 
 
 def _symplectic_form(n: int) -> np.ndarray:
-    return np.block(
-        [[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]]
-    )
+    zeros = np.zeros((n, n))
+    return _block2(zeros, np.eye(n), -np.eye(n), zeros)
 
 
 @dataclass(frozen=True)
@@ -95,8 +106,7 @@ class GaussianState:
         vxx = (g + c).real + 0.5 * eye
         vpp = (c - g).real + 0.5 * eye
         vxp = (c + g).imag
-        cov = np.block([[vxx, vxp], [vxp.T, vpp]])
-        return cls(mean=np.zeros(2 * n), cov=cov)
+        return cls(mean=np.zeros(2 * n), cov=_block2(vxx, vxp, vxp.T, vpp))
 
     @classmethod
     def tmss_pairs(cls, n_signal: float, pairs: int, total_modes: int, links):

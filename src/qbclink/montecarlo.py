@@ -303,10 +303,12 @@ CDF_HEADER = "rank,protocol,value,cumprob"
 def raw_csv_lines(kind: ChannelKind, results) -> list:
     lines = [RAW_HEADER]
     for res in results:
-        for trial, value in enumerate(res.samples):
-            lines.append(
-                f"{kind.value},{res.rank},{res.protocol.value},{trial},{value:.17g}"
-            )
+        # .tolist() gives Python floats: the same text as numpy scalars, faster
+        prefix = f"{kind.value},{res.rank},{res.protocol.value},"
+        lines.extend(
+            f"{prefix}{trial},{value:.17g}"
+            for trial, value in enumerate(res.samples.tolist())
+        )
     return lines
 
 
@@ -323,6 +325,9 @@ def summary_csv_lines(kind: ChannelKind, results) -> list:
 def cdf_csv_lines(results) -> list:
     lines = [CDF_HEADER]
     for res in results:
-        for value, prob in zip(res.cdf.values, res.cdf.probs):
-            lines.append(f"{res.rank},{res.protocol.value},{value:.17g},{prob:.17g}")
+        prefix = f"{res.rank},{res.protocol.value},"
+        lines.extend(
+            f"{prefix}{value:.17g},{prob:.17g}"
+            for value, prob in zip(res.cdf.values.tolist(), res.cdf.probs.tolist())
+        )
     return lines

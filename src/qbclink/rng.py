@@ -3,9 +3,81 @@
 Every stochastic routine in the package derives its generator from an integer
 seed plus an index path, so draw i of an ensemble produces identical numbers
 no matter the batch size, execution order, or worker count.
+
+:func:`substream` is the reference: ``default_rng(SeedSequence(seed,
+spawn_key=path))``.  :func:`standard_normals` gives the same normals for a
+block of paths at once.  Both of numpy's seeding steps are fixed algorithms
+under its stream-compatibility policy (NEP 19): the ``SeedSequence`` pool is
+O'Neill's ``seed_seq_fe`` hash of 32-bit words, and ``PCG64`` seeds itself
+with two 128-bit LCG steps (O'Neill, HMC-CS-2014-0905).  The block seeder
+runs the hash for every path as ``uint32`` array operations and the LCG steps
+on Python integers, then sets the state of one reused ``PCG64`` per path.
 """
 
 import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Longer paths fall back to substream.
+_MAX_PATH_WORDS = 16
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+# The hash multiplier runs through init * mult**i, whatever the data, so
+# every step's constants are known ahead: hashmix step i XORs with _HASH_A[i]
+# and multiplies by _HASH_A[i + 1].  A spawned pool takes 4 steps for the
+# padded seed words, 12 to mix the pool, and 4 per path word.
+_HASH_A = _powers(_INIT_A, _MULT_A, 17 + 4 * _MAX_PATH_WORDS)
+# generate_state(4, uint64): 8 words, cycling through the 4 pool words
+_STATE_B = _powers(_INIT_B, _MULT_B, 9)
+_STATE_POOL = np.arange(8) % 4
+
+
+def _hashmix(value: np.ndarray, step: int, count: int) -> np.ndarray:
+    """``value`` hashed at steps ``step .. step + count - 1`` along the last axis."""
+    value = (value ^ _HASH_A[step : step + count]) * _HASH_A[step + 1 : step + count + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` for each
+    row of the ``(B, k)`` uint32 array ``words``; ``seed < 2**64``."""
+    # a spawned sequence pads its seed words with zeros to the pool size
+    pool = _hashmix(np.array([seed & _MASK32, seed >> 32, 0, 0], dtype=np.uint32), 0, 4)
+    step = 4
+    for src in range(4):
+        dst = np.arange(4) != src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], step, 3))
+        step += 3
+    # the pool so far depends on the seed alone; each path word mixes into
+    # all four pool words of every row at once
+    pool = np.broadcast_to(pool, (len(words), 4))
+    for column in words.T:
+        pool = _mix(pool, _hashmix(column[:, None], step, 4))
+        step += 4
+    state = pool[:, _STATE_POOL] ^ _STATE_B[:8]
+    state *= _STATE_B[1:]
+    state ^= state >> _XSHIFT
+    state = state.astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -21,3 +93,37 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         raise ValueError(f"stream path must be non-negative, got {path}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.default_rng(ss)
+
+
+def standard_normals(seed: int, paths, size: int) -> np.ndarray:
+    """The first ``size`` normals of ``substream(seed, *path)`` for each of the
+    ``(B, k)`` ``paths``, one row per path, bit for bit.
+
+    A seed of 2**64 or more, a path word of 2**32 or more, a path longer than
+    16 words, or a ragged or empty ``paths`` takes :func:`substream` itself,
+    as does a negative value, which it rejects.
+    """
+    out = np.empty((len(paths), size))
+    words = np.array(paths, dtype=object)
+    fast = np.zeros(len(out), dtype=bool)
+    if 0 <= seed < 2**64 and words.ndim == 2 and words.shape[1] <= _MAX_PATH_WORDS:
+        fast = ((words >= 0) & (words <= _MASK32)).all(axis=1)
+    for i in np.flatnonzero(~fast):
+        substream(seed, *paths[i]).standard_normal(out=out[i])
+
+    rows = np.flatnonzero(fast)
+    if not rows.size:
+        return out
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    seeds = _state_words(int(seed), words[rows].astype(np.uint32))
+    for i, (s0, s1, s2, s3) in zip(rows, seeds.tolist()):
+        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
+        # from 0 with initstate added in between
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        lcg = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        state["state"] = {"state": lcg, "inc": inc}
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
+    return out

@@ -326,12 +326,47 @@ class TestOracleCommand:
         assert f"key '{override.split('=')[0]}'" in err
 
 
+# each command that reads a seed, and the call that would do its first work
+FADING_CHANNEL = ["channel", "--channel", "fading", "--nt", "4", "--nr", "4",
+                  "--set", "nb=2", "--eta", "1e-5"]
+SEEDED_COMMANDS = {
+    "sweep-fading": (["sweep", "--trials", "5"], "qbclink.montecarlo.run_rank_sweep"),
+    "sweep-deterministic": (["sweep", "--channel", "deterministic"],
+                            "qbclink.montecarlo.run_rank_sweep"),
+    "channel-fading": (FADING_CHANNEL, "qbclink.cli.sample_double_rayleigh"),
+    "oracle": (["oracle", "--trials", "2"], "qbclink.gaussian.run_oracle"),
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_seed_out_of_range_rejected_before_any_work(capsys, monkeypatch, command, seed):
+    argv, first_work = SEEDED_COMMANDS[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran")
+
+    monkeypatch.setattr(first_work, no_work)
+    code, out, err = run(capsys, argv + [f"--seed={seed}"])
+    assert code == 2
+    assert out == ""
+    assert "key 'seed'" in err and "[0, 2**64 - 1]" in err
+
+
+@pytest.mark.parametrize("command", ["channel-fading", "oracle"])
+def test_largest_seed_accepted(capsys, command):
+    argv, _ = SEEDED_COMMANDS[command]
+    code, _, _ = run(capsys, argv + ["--seed", str(2**64 - 1)])
+    assert code == 0
+
+
 # one raw text per source (file, flag, --set) for each type in the key tables
 SAMPLE_TEXTS = {
     float: ("0.25", "0.5", "0.75"),
     int: ("3", "4", "5"),
     str: ("fading", "clutter", "two_path"),
     "ranks": ("1..2", "3", "1,4"),
+    "seed": ("3", "4", "5"),
     "receiver": ("classical", "guha", "zhuang"),
     "channel": ("deterministic", "double-rayleigh", "deterministic"),
 }

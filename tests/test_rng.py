@@ -1,0 +1,124 @@
+"""The block seeder against its reference, ``substream``.
+
+``standard_normals`` must give, row for row and bit for bit, the normals of
+``substream(seed, *path)``, i.e. of ``default_rng(SeedSequence(seed,
+spawn_key=path))``.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from qbclink import rng
+from qbclink.channel import FadingSpec, sample_double_rayleigh_stack
+from qbclink.montecarlo import ChannelKind, ExperimentSpec, run_rank_sweep
+from qbclink.qi import QiParams
+from qbclink.rng import _state_words, standard_normals, substream
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+def _random_seeds(gen, count):
+    """``SEEDS`` plus ``count`` each below 2**32 and in [2**32, 2**64)."""
+    below = gen.integers(0, 2**32, size=count, dtype=np.uint64)
+    above = gen.integers(2**32, 2**64 - 1, size=count, dtype=np.uint64, endpoint=True)
+    return SEEDS + tuple(int(s) for s in np.concatenate([below, above]))
+
+
+def _random_paths(gen, k, count=12):
+    paths = gen.integers(0, 2**32, size=(count, k), dtype=np.uint64).tolist()
+    return [tuple(p) for p in paths] + [(0,) * k, (2**32 - 1,) * k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_state_words_match_seed_sequence(k):
+    gen = np.random.default_rng(100 + k)
+    for seed in _random_seeds(gen, 4):
+        paths = _random_paths(gen, k)
+        words = _state_words(seed, np.array(paths, dtype=np.uint32))
+        assert words.dtype == np.uint64
+        for row, path in zip(words, paths):
+            expected = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected), (seed, path)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_normals_match_substream(k):
+    gen = np.random.default_rng(200 + k)
+    for seed in _random_seeds(gen, 2):
+        paths = _random_paths(gen, k, count=6)
+        got = standard_normals(seed, paths, 97)
+        assert got.shape == (len(paths), 97)
+        expected = [substream(seed, *p).standard_normal(97) for p in paths]
+        assert np.array_equal(got, expected), seed
+
+
+@pytest.mark.parametrize(
+    "seed, paths",
+    [
+        (7, [(1, 2**32, 0), (1, 2, 0), (2**40, 0, 1)]),  # a word of 2**32 or more
+        (2**64, [(1, 2, 0), (3, 4, 5)]),  # a seed of 2**64
+        (2**70, [(1,)]),
+        (7, [tuple(range(17)), tuple(range(1, 18))]),  # longer than the hash table
+        (7, [(1,), (2, 3), (4, 5, 6)]),  # ragged
+        (7, [()]),  # no path words
+    ],
+    ids=["word-2^32", "seed-2^64", "seed-2^70", "17-words", "ragged", "empty-path"],
+)
+def test_fallback_equals_substream(seed, paths):
+    got = standard_normals(seed, paths, 33)
+    for row, path in zip(got, paths):
+        assert np.array_equal(row, substream(seed, *path).standard_normal(33))
+
+
+def test_no_paths_give_no_rows():
+    assert standard_normals(7, [], 5).shape == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "seed, paths", [(-1, [(1, 2)]), (7, [(1, 2), (1, -2)])], ids=["seed", "word"]
+)
+def test_negative_values_rejected_like_substream(seed, paths):
+    with pytest.raises(ValueError, match="non-negative"):
+        substream(seed, *paths[-1])
+    with pytest.raises(ValueError, match="non-negative"):
+        standard_normals(seed, paths, 4)
+
+
+def test_golden_stream_sha256():
+    # Computed with substream alone: seed 7, paths (rank, trial, attempt) for
+    # ranks 1..8, trials 0..199, attempt 0, 256 normals each (the stream of a
+    # rank-8 8x8 draw), as little-endian float64.  Any change to the seeding
+    # or to numpy's streams changes it on every platform.
+    keys = [(rank, trial, 0) for rank in range(1, 9) for trial in range(200)]
+    normals = standard_normals(7, keys, 256).astype("<f8")
+    assert hashlib.sha256(normals.tobytes()).hexdigest() == (
+        "74f403b147a2efd8dd12a781d3798678ad54f4944b273bc0d60f23cf17f6e847"
+    )
+
+
+def test_fading_path_builds_no_substream(monkeypatch):
+    calls = []
+
+    def counting(seed, *path):
+        calls.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(rng, "substream", counting)
+    spec = ExperimentSpec(
+        n_tx=8, n_rx=8, rank_sweep=(1, 8), reference_rtt=1e-5,
+        qi=QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9), trials=80, seed=2**64 - 1,
+        channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
+    )
+    run_rank_sweep(spec)
+    # 0.04 rejects most rank-8 draws, so redraws at attempt > 0 run too
+    _, rejections = sample_double_rayleigh_stack(
+        FadingSpec(8, 8, 8, 0.04, seed=5), [(8, t) for t in range(80)]
+    )
+    assert rejections.sum() > 0
+    assert calls == []
+
+    # the fallback still runs through substream, once per attempt
+    _, rejections = sample_double_rayleigh_stack(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
+    assert len(calls) == 1 + int(rejections[0])
