@@ -6,7 +6,6 @@ from .channel import (
     ClutterPath,
     FadingSpec,
     LinkBudget,
-    NoiseLoading,
     PropagationPath,
     SPEED_OF_LIGHT,
     SteeringGeometry,
@@ -14,7 +13,6 @@ from .channel import (
     build_two_path_channel,
     decompose_channel,
     decompose_stack,
-    noise_loading,
     round_trip_transmissivity,
     sample_double_rayleigh,
     sample_double_rayleigh_stack,
@@ -53,22 +51,18 @@ from .montecarlo import (
     run_rank_sweep,
 )
 from .qi import (
-    EigenChannel,
     Protocol,
     ProtocolReport,
     QiParams,
     Receiver,
     TmssMoments,
     chernoff_ber,
-    eigen_channels,
     emimo_mode_ratio,
     emimo_snr,
-    emimo_snr_stack,
     pmimo_interference,
     pmimo_mode_ratio,
     pmimo_snr,
     pmimo_snr_ensemble,
-    pmimo_snr_stack,
     protocol_reports,
     relative_gain,
     siso_snr,

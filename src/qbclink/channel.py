@@ -213,7 +213,58 @@ def _check_cosine(value: float) -> None:
 
 
 @dataclass(frozen=True)
-class ChannelMatrix:
+class _Factored:
+    """A channel, or a stack of channels of one shape on leading axes, with
+    its singular value decomposition.
+
+    Each property here works over the leading axes of ``matrix``: it gives
+    a number for one channel and an array with one entry per channel for a
+    stack.
+    """
+
+    matrix: np.ndarray
+    u: np.ndarray
+    singular_values: np.ndarray
+    v: np.ndarray
+    rank: int | np.ndarray
+
+    @property
+    def n_rx(self) -> int:
+        return self.matrix.shape[-2]
+
+    @property
+    def n_tx(self) -> int:
+        return self.matrix.shape[-1]
+
+    @property
+    def spectral_norm(self):
+        """The largest singular value; 0 for a channel without any."""
+        s = self.singular_values
+        # [()] turns one channel's 0-d result into a number
+        return s[..., 0][()] if s.shape[-1] else np.zeros(s.shape[:-1])[()]
+
+    @property
+    def is_physical(self):
+        """True where the channel can act passively (spectral norm <= 1)."""
+        return self.spectral_norm <= 1.0 + PHYSICALITY_SLACK
+
+    @property
+    def trace_power(self):
+        """``trace(H H†)``, the summed eigen-channel transmissivities."""
+        h = self.matrix
+        return np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
+
+    def require_physical(self):
+        """Return ``self``, or raise naming the first non-physical norm."""
+        physical = self.is_physical
+        if not physical.all():
+            norm = np.ravel(self.spectral_norm)[~np.ravel(physical)][0]
+            raise NonPhysicalChannelError(f"spectral norm {norm:.6g} exceeds 1")
+        return self
+
+
+@dataclass(frozen=True)
+class ChannelMatrix(_Factored):
     """Complex channel matrix with its cached singular value decomposition.
 
     Attributes
@@ -228,20 +279,6 @@ class ChannelMatrix:
         Count of singular values above the ``rank_tolerance`` of
         :func:`decompose_channel` times the largest.
     """
-
-    matrix: np.ndarray
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-    rank: int
-
-    @property
-    def n_rx(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.matrix.shape[1]
 
     @property
     def eta(self) -> np.ndarray:
@@ -262,27 +299,6 @@ class ChannelMatrix:
         singular values these satisfy ``S S† + Sgm Sgm† = I``."""
         return np.sqrt(1.0 - self.port_eta)
 
-    @property
-    def spectral_norm(self) -> float:
-        return float(self.singular_values[0]) if self.singular_values.size else 0.0
-
-    @property
-    def is_physical(self) -> bool:
-        """True when the channel can act passively (spectral norm <= 1)."""
-        return self.spectral_norm <= 1.0 + PHYSICALITY_SLACK
-
-    @property
-    def trace_power(self) -> float:
-        """``trace(H H†)``, the summed eigen-channel transmissivities."""
-        return float(_trace_power(self.matrix))
-
-    def require_physical(self) -> "ChannelMatrix":
-        if not self.is_physical:
-            raise NonPhysicalChannelError(
-                f"spectral norm {self.spectral_norm:.6g} exceeds 1"
-            )
-        return self
-
     def reconstruction_residual(self) -> float:
         """Max-entry deviation of ``U S V†`` from the stored matrix."""
         return float(
@@ -291,25 +307,12 @@ class ChannelMatrix:
 
 
 @dataclass(frozen=True)
-class ChannelStack:
+class ChannelStack(_Factored):
     """Channels of one shape factorized together, stacked on a leading axis.
 
     The fields are those of :class:`ChannelMatrix` with one more leading
     axis (``rank`` is an integer array); ``stack[i]`` is channel i.
     """
-
-    matrix: np.ndarray
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-    rank: np.ndarray
-
-    @classmethod
-    def of(cls, cm: ChannelMatrix) -> "ChannelStack":
-        """The stack holding ``cm`` alone."""
-        return cls(
-            cm.matrix[None], cm.u[None], cm.singular_values[None], cm.v[None], np.array([cm.rank])
-        )
 
     def __setitem__(self, index, other: "ChannelStack") -> None:
         """Overwrite the channels at ``index`` with those of ``other``."""
@@ -328,46 +331,10 @@ class ChannelStack:
             rank=int(self.rank[i]),
         )
 
-    @property
-    def n_rx(self) -> int:
-        return self.matrix.shape[-2]
-
-    @property
-    def n_tx(self) -> int:
-        return self.matrix.shape[-1]
-
-    @property
-    def spectral_norm(self) -> np.ndarray:
-        s = self.singular_values
-        return s[:, 0] if s.shape[-1] else np.zeros(len(self))
-
-    @property
-    def is_physical(self) -> np.ndarray:
-        """Mask of the channels that can act passively (spectral norm <= 1)."""
-        return self.spectral_norm <= 1.0 + PHYSICALITY_SLACK
-
-    @property
-    def trace_power(self) -> np.ndarray:
-        """``trace(H H†)`` of each channel."""
-        return _trace_power(self.matrix)
-
-    def require_physical(self) -> "ChannelStack":
-        bad = ~self.is_physical
-        if bad.any():
-            raise NonPhysicalChannelError(
-                f"spectral norm {self.spectral_norm[bad][0]:.6g} exceeds 1"
-            )
-        return self
-
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
     return a.conj().swapaxes(-1, -2)
-
-
-def _trace_power(h: np.ndarray) -> np.ndarray:
-    """``sum |h|^2`` over the last two axes."""
-    return np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
 
 
 def _reconstruction_residual(h, u, s, vh) -> np.ndarray:
@@ -431,28 +398,6 @@ def decompose_channel(
     case of :func:`decompose_stack`, with the same checks and errors."""
     h = np.atleast_2d(np.asarray(h, dtype=complex))
     return decompose_stack(h[None], rank_tolerance)[0]
-
-
-@dataclass(frozen=True)
-class NoiseLoading:
-    """Per-eigen-channel loss coefficients of a passive channel.
-
-    Together with the singular values these satisfy
-    ``S S† + Sgm Sgm† = I`` on the receive side, the bookkeeping that keeps
-    the channel-plus-environment transformation unitary.
-    """
-
-    loss_coefficients: np.ndarray
-
-
-def noise_loading(cm: ChannelMatrix) -> NoiseLoading:
-    """Thermal coupling coefficients for a passive channel.
-
-    Receive ports beyond the singular values couple entirely to the
-    environment (coefficient one).
-    """
-    cm.require_physical()
-    return NoiseLoading(loss_coefficients=cm.loss_coefficients)
 
 
 def build_two_path_channel(paths, spacing: float) -> ChannelMatrix:
@@ -608,14 +553,7 @@ def sample_double_rayleigh_stack(spec: FadingSpec, draws):
     )
 
 
-def sample_double_rayleigh(spec: FadingSpec, draw, return_rejections: bool = False):
+def sample_double_rayleigh(spec: FadingSpec, draw) -> ChannelMatrix:
     """Draw one double-Rayleigh channel, deterministically in ``(seed, draw)``:
-    the one-draw case of :func:`sample_double_rayleigh_stack`.
-
-    Returns
-    -------
-    ChannelMatrix, or ``(ChannelMatrix, int)`` when ``return_rejections``.
-    """
-    stack, rejections = sample_double_rayleigh_stack(spec, [draw])
-    cm = stack[0]
-    return (cm, int(rejections[0])) if return_rejections else cm
+    the one-draw case of :func:`sample_double_rayleigh_stack`."""
+    return sample_double_rayleigh_stack(spec, [draw])[0][0]

@@ -126,13 +126,24 @@ def _parse_ranks(name: str, value) -> tuple:
         ) from None
 
 
-def _seed(name: str, value) -> int:
-    """Converter for a seed: an integer in [0, 2**64 - 1], the range of a
-    fading spec and of the block seeder."""
-    seed = _number(name, int, value)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"key '{name}' must lie in [0, 2**64 - 1], got {seed}")
-    return seed
+def _integer(low: int, high: int | None = None, bound: str | None = None):
+    """Converter for an integer key of at least ``low`` and, when given, at
+    most ``high``; ``bound`` words the range in the error message."""
+
+    def convert(name, value):
+        number = _number(name, int, value)
+        if number < low or (high is not None and number > high):
+            raise ConfigError(
+                f"key '{name}' must {bound or f'be at least {low}'}, got {number}"
+            )
+        return number
+
+    return convert
+
+
+# the range of a fading spec and of the block seeder
+_seed = _integer(0, 2**64 - 1, "lie in [0, 2**64 - 1]")
+_count = _integer(1)
 
 
 def _choice(enum_type, what: str, fold_case: bool = False):
@@ -194,7 +205,7 @@ _CHANNEL_KEYS = (
     Key("kind", str, help="channel kind: two_path, clutter, fading", flag="--channel"),
     Key("nb", int),
     Key("spacing", float),
-    Key("draw", int, 0),
+    Key("draw", _integer(0), 0),
     Key("modes", float, 1e9),
     Key("paths", _path_list(PropagationPath, ("eta", "phase", "omega_r", "omega_t"))),
     Key("tx_paths", _path_list(ClutterPath, _CLUTTER_FIELDS)),
@@ -226,7 +237,7 @@ _SWEEP_KEYS = (
     Key("eta", float, 1e-5, flag="--eta"),
     Key("ns", float, 0.01, flag="--ns"),
     Key("nz", float, 100.0, flag="--nz"),
-    Key("trials", int, 10_000, flag="--trials"),
+    Key("trials", _count, 10_000, flag="--trials"),
     Key("seed", _seed, 0, flag="--seed"),
     Key("channel", _choice(montecarlo.ChannelKind, "channel kind"), "double-rayleigh",
         help="deterministic or double-rayleigh", flag="--channel"),
@@ -234,11 +245,11 @@ _SWEEP_KEYS = (
 )
 
 _ORACLE_KEYS = (
-    Key("trials", int, 100, flag="--trials"),
+    Key("trials", _count, 100, flag="--trials"),
     Key("seed", _seed, 0, flag="--seed"),
     Key("ns", float, 0.01, flag="--ns"),
     Key("nz", float, 100.0, flag="--nz"),
-    Key("max_n", int, 8),
+    Key("max_n", _count, 8),
 )
 
 
@@ -390,9 +401,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _merge_config(args, _ORACLE_KEYS)
-    for name in ("trials", "max_n"):
-        if cfg[name] < 1:
-            raise ConfigError(f"key '{name}' must be at least 1, got {cfg[name]}")
     params = qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9)
     report = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
     for name, value in report.worst.items():

@@ -160,15 +160,6 @@ class GaussianState:
         n = self.mode_count
         return (self.mean[:n] + 1j * self.mean[n:]) / np.sqrt(2.0)
 
-    def photon_number(self, mode: int) -> float:
-        return float(self.ladder_c[mode, mode].real)
-
-    def moment_adag_a(self, j: int, k: int) -> complex:
-        return complex(self.ladder_c[j, k])
-
-    def moment_aa(self, j: int, k: int) -> complex:
-        return complex(self.ladder_g[j, k])
-
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
         """Check symmetry and the uncertainty bound ``cov + i Omega / 2 >= 0``."""
         if self.cov.shape != (2 * self.mode_count,) * 2:

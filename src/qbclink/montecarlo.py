@@ -32,7 +32,7 @@ from .channel import (
     decompose_channel,
     sample_double_rayleigh_stack,
 )
-from .qi import Protocol, QiParams, emimo_snr, emimo_snr_stack, pmimo_snr, pmimo_snr_stack
+from .qi import Protocol, QiParams, emimo_snr, pmimo_snr
 
 REJECTION_ABORT_FRACTION = 0.01
 # Fading trials drawn, factorized and evaluated as one stack; bounds the
@@ -195,8 +195,8 @@ def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
         stack, rej = sample_double_rayleigh_stack(fspec, [(rank, t) for t in trials])
         rejected += int(rej.sum())
         block = slice(lo - start, lo - start + len(trials))
-        paired[block] = pmimo_snr_stack(stack, spec.qi) / baseline
-        eigen[block] = emimo_snr_stack(stack, spec.qi) / baseline
+        paired[block] = pmimo_snr(stack, spec.qi) / baseline
+        eigen[block] = emimo_snr(stack, spec.qi) / baseline
     return paired, eigen, rejected
 
 

@@ -79,7 +79,7 @@ class QiParams:
                 "outside the quantum-illumination operating point "
                 f"(n_signal={self.n_signal}, n_thermal={self.n_thermal}); "
                 "closed-form SNRs assume n_signal << 1 and n_thermal >> 1",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -90,7 +90,6 @@ class TmssMoments:
     signal_mean_photons: float
     idler_mean_photons: float
     cross_correlation: float
-    phase_insensitive_cross: float
 
 
 def tmss_moments(n_signal: float) -> TmssMoments:
@@ -105,7 +104,6 @@ def tmss_moments(n_signal: float) -> TmssMoments:
         signal_mean_photons=n_signal,
         idler_mean_photons=n_signal,
         cross_correlation=float(np.sqrt(n_signal * (n_signal + 1.0))),
-        phase_insensitive_cross=0.0,
     )
 
 
@@ -143,20 +141,21 @@ def _square_matrix(cm: ChannelMatrix | ChannelStack) -> np.ndarray:
     return cm.matrix
 
 
-def pmimo_interference_stack(
-    stack: ChannelStack, params: QiParams, coherent: bool = True
+def pmimo_interference(
+    cm: ChannelMatrix | ChannelStack, params: QiParams, coherent: bool = True
 ) -> np.ndarray:
-    """Effective noise photons at every receiver of each paired array.
+    """Effective noise photons at every receiver of a paired array.
 
-    Entry ``[i, m]`` is the thermal floor of receiver m of channel i raised by
-    all other transmitters.  By default their amplitudes are summed
-    coherently, ``|sum_{n != m} h_mn|^2 * Ns + Nz``; ``coherent=False``
-    switches to the incoherent power sum ``sum_{n != m} |h_mn|^2 * Ns + Nz``,
-    which is what independent sources produce per realization.  The two agree
-    in expectation for zero-mean fading.
+    Entry ``m`` (``[i, m]`` for channel i of a stack) is the thermal floor of
+    receiver m raised by all other transmitters.  By default their amplitudes
+    are summed coherently, ``|sum_{n != m} h_mn|^2 * Ns + Nz``;
+    ``coherent=False`` switches to the incoherent power sum
+    ``sum_{n != m} |h_mn|^2 * Ns + Nz``, which is what independent sources
+    produce per realization.  The two agree in expectation for zero-mean
+    fading.
     """
-    h = _square_matrix(stack)
-    cross = np.where(np.eye(stack.n_tx, dtype=bool), 0.0, h)
+    h = _square_matrix(cm)
+    cross = np.where(np.eye(cm.n_tx, dtype=bool), 0.0, h)
     if coherent:
         power = np.abs(np.sum(cross, axis=-1)) ** 2
     else:
@@ -164,30 +163,16 @@ def pmimo_interference_stack(
     return power * params.n_signal + params.n_thermal
 
 
-def pmimo_interference(
-    cm: ChannelMatrix, params: QiParams, coherent: bool = True
-) -> np.ndarray:
-    """:func:`pmimo_interference_stack` of one channel: entry m is the noise
-    photons at receiver m."""
-    return pmimo_interference_stack(ChannelStack.of(cm), params, coherent)[0]
-
-
-def pmimo_snr_stack(
-    stack: ChannelStack, params: QiParams, coherent: bool = True
-) -> np.ndarray:
-    """Maximal-ratio-combined SNR of the paired protocol on each channel.
+def pmimo_snr(cm: ChannelMatrix | ChannelStack, params: QiParams, coherent: bool = True):
+    """Maximal-ratio-combined SNR of the paired protocol: a number for one
+    channel, one entry per channel of a stack.
 
     Each pair m contributes ``Ns |h_mm|^2 / N_I_m`` with the interference
-    noise of :func:`pmimo_interference_stack`.
+    noise of :func:`pmimo_interference`.
     """
-    diagonal = np.diagonal(stack.matrix, axis1=-2, axis2=-1)
+    diagonal = np.diagonal(cm.matrix, axis1=-2, axis2=-1)
     signal = params.n_signal * np.abs(diagonal) ** 2
-    return np.sum(signal / pmimo_interference_stack(stack, params, coherent), axis=-1)
-
-
-def pmimo_snr(cm: ChannelMatrix, params: QiParams, coherent: bool = True) -> float:
-    """:func:`pmimo_snr_stack` of one channel."""
-    return float(pmimo_snr_stack(ChannelStack.of(cm), params, coherent)[0])
+    return np.sum(signal / pmimo_interference(cm, params, coherent), axis=-1)
 
 
 def pmimo_snr_ensemble(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
@@ -217,19 +202,15 @@ def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
     return n_rx * share / ((n_tx - 1) * share * beta + 1.0)
 
 
-def emimo_snr_stack(stack: ChannelStack, params: QiParams) -> np.ndarray:
-    """Eigen-channel protocol SNR ``trace(H H†) Ns / Nz`` of each channel.
+def emimo_snr(cm: ChannelMatrix | ChannelStack, params: QiParams):
+    """Eigen-channel protocol SNR ``trace(H H†) Ns / Nz``: a number for one
+    channel, one entry per channel of a stack.
 
     Precoding and beamforming along the singular vectors make the branch SNRs
     add without interference, so only the summed transmissivities matter.
     """
-    stack.require_physical()
-    return stack.trace_power * params.n_signal / params.n_thermal
-
-
-def emimo_snr(cm: ChannelMatrix, params: QiParams) -> float:
-    """:func:`emimo_snr_stack` of one channel."""
-    return float(emimo_snr_stack(ChannelStack.of(cm), params)[0])
+    cm.require_physical()
+    return cm.trace_power * params.n_signal / params.n_thermal
 
 
 def emimo_mode_ratio(rank: int, n_rx: int) -> float:
@@ -250,24 +231,6 @@ def relative_gain(n_tx: int, rank: int, beta: float) -> float:
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     return (n_tx - 1) * rank * beta + n_tx
-
-
-@dataclass(frozen=True)
-class EigenChannel:
-    """One parallel branch: transmissivity and its thermal coupling."""
-
-    eta: float
-    loss_coefficient: float
-
-
-def eigen_channels(cm: ChannelMatrix) -> list:
-    """The r parallel branches of a physical channel, strongest first."""
-    cm.require_physical()
-    r = cm.rank
-    return [
-        EigenChannel(eta=float(eta), loss_coefficient=float(loss))
-        for eta, loss in zip(cm.port_eta[:r], cm.loss_coefficients[:r])
-    ]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from qbclink import (
     clements_decompose,
     decompose_channel,
     dominance_check,
-    noise_loading,
     reconstruct,
     run_rank_sweep,
     sample_double_rayleigh,
@@ -246,7 +245,7 @@ def test_criterion_6_structural_suites():
         sigma = np.zeros((n_rx, n_rx))
         count = min(n_rx, n_tx)
         sigma[:count, :count] = np.diag(cm.singular_values[:count])
-        loss = np.diag(noise_loading(cm).loss_coefficients)
+        loss = np.diag(cm.require_physical().loss_coefficients)
         gap = np.max(np.abs(sigma @ sigma.T + loss @ loss.T - np.eye(n_rx)))
         worst_complete = max(worst_complete, float(gap))
     if worst_recon > 1e-10:

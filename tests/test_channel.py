@@ -17,7 +17,6 @@ from qbclink import (
     build_two_path_channel,
     decompose_channel,
     decompose_stack,
-    noise_loading,
     round_trip_transmissivity,
     sample_double_rayleigh,
     sample_double_rayleigh_stack,
@@ -350,6 +349,19 @@ class TestDecomposeStack:
         with pytest.raises(ValueError, match=message):
             decompose_stack(_stack())
 
+    def test_properties_agree_with_each_channel(self):
+        h = _stack()
+        h[1] *= 10.0
+        h[2] = 0.0
+        stack = decompose_stack(h)
+        assert stack.is_physical.any() and not stack.is_physical.all()
+        for i in range(len(stack)):
+            cm = stack[i]
+            assert stack.spectral_norm[i] == cm.spectral_norm
+            assert stack.is_physical[i] == cm.is_physical
+            assert stack.trace_power[i] == cm.trace_power
+        assert (stack.n_rx, stack.n_tx) == (stack[0].n_rx, stack[0].n_tx)
+
     def test_shape_must_be_a_stack(self):
         with pytest.raises(ValueError, match="stack"):
             decompose_stack(np.eye(3))
@@ -357,11 +369,11 @@ class TestDecomposeStack:
 
 class TestNoiseLoading:
     def test_null_channel_couples_fully_to_environment(self):
-        nl = noise_loading(decompose_channel(np.zeros((3, 3))))
+        nl = decompose_channel(np.zeros((3, 3))).require_physical()
         assert np.allclose(nl.loss_coefficients, 1.0)
 
     def test_lossless_eigen_channel_has_zero_coefficient(self):
-        nl = noise_loading(decompose_channel(np.diag([1.0, 0.5])))
+        nl = decompose_channel(np.diag([1.0, 0.5])).require_physical()
         assert nl.loss_coefficients[0] == 0.0
 
     def test_completeness_identity_on_random_channel(self):
@@ -374,7 +386,7 @@ class TestNoiseLoading:
             decompose_channel(h, rank_tolerance=0.6),
             decompose_channel(np.diag([0.9, 0.5]), rank_tolerance=0.6),
         ):
-            nl = noise_loading(cm)
+            nl = cm.require_physical()
             n = cm.n_rx
             sigma = np.zeros((n, n))
             np.fill_diagonal(sigma, cm.singular_values)
@@ -385,7 +397,7 @@ class TestNoiseLoading:
     def test_non_physical_channel_rejected(self):
         cm = decompose_channel(2.0 * np.eye(2))
         with pytest.raises(NonPhysicalChannelError):
-            noise_loading(cm)
+            cm.require_physical()
 
 
 def _reference_draw(spec, path):
@@ -450,8 +462,8 @@ class TestDoubleRayleigh:
 
     def test_rejection_counter_reported(self):
         spec = FadingSpec(2, 2, 2, reference_rtt=1e-5, seed=5)
-        _, rejections = sample_double_rayleigh(spec, 0, return_rejections=True)
-        assert rejections == 0
+        _, rejections = sample_double_rayleigh_stack(spec, [0])
+        assert rejections[0] == 0
 
     def test_batched_rejection_path_matches_one_draw_at_a_time(self):
         # at this power most rank-8 draws are non-physical at least once
@@ -461,7 +473,8 @@ class TestDoubleRayleigh:
         assert np.count_nonzero(rejections) == 156
         assert rejections.max() == 23
         for i, draw in enumerate(draws):
-            cm, rej = sample_double_rayleigh(spec, draw, return_rejections=True)
+            one, (rej,) = sample_double_rayleigh_stack(spec, [draw])
+            cm = one[0]
             assert rej == rejections[i]
             h, attempts = _reference_draw(spec, draw)
             assert attempts == rej

@@ -360,6 +360,39 @@ def test_largest_seed_accepted(capsys, command):
     assert code == 0
 
 
+# a draw or trial count out of its range, the key named, and the command's first
+# work (oracle counts: TestOracleCommand)
+BOUNDED_COUNTS = {
+    "channel-draw": (FADING_CHANNEL + ["--seed", "3", "--set", "draw=-1"], "draw",
+                     "qbclink.cli.sample_double_rayleigh"),
+    "sweep-fading-trials": (["sweep", "--trials", "0"], "trials",
+                            "qbclink.montecarlo.run_rank_sweep"),
+    "sweep-deterministic-trials": (["sweep", "--channel", "deterministic", "--trials", "-2"],
+                                   "trials", "qbclink.montecarlo.run_rank_sweep"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDED_COUNTS))
+def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, case):
+    argv, name, first_work = BOUNDED_COUNTS[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran")
+
+    monkeypatch.setattr(first_work, no_work)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"key '{name}' must be at least" in err
+
+
+def test_draw_past_the_block_seeder_accepted(capsys):
+    # a path word of 2**32 or more falls back to substream
+    code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={2**32}"])
+    assert code == 0
+    assert "rank,2" in out
+
+
 # one raw text per source (file, flag, --set) for each type in the key tables
 SAMPLE_TEXTS = {
     float: ("0.25", "0.5", "0.75"),
@@ -367,6 +400,7 @@ SAMPLE_TEXTS = {
     str: ("fading", "clutter", "two_path"),
     "ranks": ("1..2", "3", "1,4"),
     "seed": ("3", "4", "5"),
+    "trials": ("3", "4", "5"),
     "receiver": ("classical", "guha", "zhuang"),
     "channel": ("deterministic", "double-rayleigh", "deterministic"),
 }

@@ -1,16 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qbclink import (
+    NonPhysicalChannelError,
     Protocol,
     ProtocolMismatchError,
     QiParams,
     Receiver,
     chernoff_ber,
     decompose_channel,
-    eigen_channels,
+    decompose_stack,
     emimo_mode_ratio,
     emimo_snr,
     pmimo_interference,
@@ -46,7 +49,6 @@ class TestTmss:
         m = tmss_moments(0.01)
         assert m.cross_correlation == pytest.approx(0.10049875621120890, rel=1e-15)
         assert m.signal_mean_photons == m.idler_mean_photons == 0.01
-        assert m.phase_insensitive_cross == 0.0
 
     @given(n_signal=st.floats(1e-12, 1e6))
     def test_nonclassicality_witness(self, n_signal):
@@ -90,6 +92,11 @@ class TestSisoSnr:
             QiParams(n_signal=2.0, n_thermal=100.0, modes=1.0)
         with pytest.warns(UserWarning):
             QiParams(n_signal=0.01, n_thermal=0.5, modes=1.0)
+
+    def test_operating_point_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="operating point") as record:
+            QiParams(n_signal=2.0, n_thermal=100.0, modes=1.0)
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestChernoff:
@@ -204,16 +211,16 @@ class TestEigenMimo:
     def test_null_channel(self):
         cm = decompose_channel(np.zeros((3, 3)))
         assert emimo_snr(cm, PARAMS) == 0.0
-        assert eigen_channels(cm) == []
+        assert cm.port_eta[: cm.rank].size == 0
 
     def test_scaled_identity(self):
         eta, n = 2e-4, 6
         cm = decompose_channel(np.sqrt(eta) * np.eye(n))
         expected = n * eta * PARAMS.n_signal / PARAMS.n_thermal
         assert emimo_snr(cm, PARAMS) == pytest.approx(expected, rel=1e-12)
-        branches = eigen_channels(cm)
+        branches = cm.port_eta[: cm.rank]
         assert len(branches) == n
-        assert all(b.eta == pytest.approx(eta, rel=1e-12) for b in branches)
+        assert all(b == pytest.approx(eta, rel=1e-12) for b in branches)
 
     def test_trace_route_matches_singular_value_sum(self):
         rng = np.random.default_rng(14)
@@ -239,16 +246,59 @@ class TestEigenMimo:
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         h = 0.1 * np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
         cm = decompose_channel(h)
-        branches = eigen_channels(cm)
+        branches = cm.port_eta[: cm.rank]
         assert len(branches) == 1
-        assert branches[0].eta == pytest.approx(cm.trace_power, rel=1e-12)
+        assert branches[0] == pytest.approx(cm.trace_power, rel=1e-12)
 
     def test_eigen_sum_is_trace(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             cm = random_physical_channel(rng, 7, 7)
-            total = sum(b.eta for b in eigen_channels(cm))
+            total = sum(cm.port_eta[: cm.rank])
             assert total == pytest.approx(cm.trace_power, rel=1e-12)
+
+
+def random_physical_stack(rng, b, n):
+    h = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
+    top = np.linalg.svd(h, compute_uv=False)[:, :1, None]
+    return decompose_stack(h * rng.uniform(0.05, 0.95, (b, 1, 1)) / top)
+
+
+class TestStackedChannels:
+    """On a ChannelStack the protocol functions give, entry by entry, their
+    values on each channel of it, bit for bit."""
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_paired_values_match_each_channel(self, coherent):
+        stack = random_physical_stack(np.random.default_rng(20), 12, 6)
+        noise = pmimo_interference(stack, PARAMS, coherent)
+        snr = pmimo_snr(stack, PARAMS, coherent)
+        assert noise.shape == (12, 6) and snr.shape == (12,)
+        for i in range(len(stack)):
+            assert np.array_equal(noise[i], pmimo_interference(stack[i], PARAMS, coherent))
+            assert snr[i] == pmimo_snr(stack[i], PARAMS, coherent)
+
+    def test_eigen_values_match_each_channel(self):
+        stack = random_physical_stack(np.random.default_rng(21), 12, 6)
+        snr = emimo_snr(stack, PARAMS)
+        assert snr.shape == (12,)
+        for i in range(len(stack)):
+            assert snr[i] == emimo_snr(stack[i], PARAMS)
+
+    def test_one_channel_gives_a_number(self):
+        cm = random_physical_channel(np.random.default_rng(22), 4, 4)
+        for value in (pmimo_snr(cm, PARAMS), emimo_snr(cm, PARAMS)):
+            assert isinstance(value, float) and np.ndim(value) == 0
+
+    def test_non_physical_member_named(self):
+        rng = np.random.default_rng(23)
+        h = random_physical_stack(rng, 5, 4).matrix
+        h[3] *= 1.5 / np.linalg.svd(h[3], compute_uv=False)[0]
+        stack = decompose_stack(h)
+        norm = stack.spectral_norm[3]
+        assert norm > 1.0 and list(stack.is_physical) == [True, True, True, False, True]
+        with pytest.raises(NonPhysicalChannelError, match=re.escape(f"{norm:.6g} exceeds 1")):
+            emimo_snr(stack, PARAMS)
 
 
 class TestRelativeGain:
