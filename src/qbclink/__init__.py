@@ -2,7 +2,6 @@
 
 from .channel import (
     ChannelMatrix,
-    ChannelStack,
     ClutterPath,
     FadingSpec,
     LinkBudget,
@@ -12,10 +11,8 @@ from .channel import (
     build_clutter_channel,
     build_two_path_channel,
     decompose_channel,
-    decompose_stack,
     round_trip_transmissivity,
     sample_double_rayleigh,
-    sample_double_rayleigh_stack,
     siso_beam_splitter,
     steering_vector,
 )

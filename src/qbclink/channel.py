@@ -28,7 +28,8 @@ from .rng import standard_normals
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-DEFAULT_RANK_TOL = 1e-9
+# Relative singular-value threshold for the numerical rank.
+RANK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 # Slack on the spectral-norm-at-most-one test; absorbs SVD rounding for
@@ -213,13 +214,25 @@ def _check_cosine(value: float) -> None:
 
 
 @dataclass(frozen=True)
-class _Factored:
-    """A channel, or a stack of channels of one shape on leading axes, with
-    its singular value decomposition.
+class ChannelMatrix:
+    """A complex channel with its singular value decomposition, or a stack of
+    channels of one shape factorized together on a leading axis.
 
-    Each property here works over the leading axes of ``matrix``: it gives
-    a number for one channel and an array with one entry per channel for a
-    stack.
+    Every property works over the leading axes of ``matrix``: it gives a
+    number (or one row) for one channel and one entry per channel for a
+    stack, whose ``stack[i]`` is channel i.  The fields of a stack carry
+    the same leading axis.
+
+    Attributes
+    ----------
+    matrix : ndarray
+        The raw ``n_rx x n_tx`` complex channel.
+    u, v : ndarray
+        Unitary SVD factors (``u`` is ``n_rx x n_rx``, ``v`` is ``n_tx x n_tx``).
+    singular_values : ndarray
+        Descending singular values ``sqrt(eta_k)``.
+    rank : int or ndarray
+        Count of singular values above ``RANK_TOL`` times the largest.
     """
 
     matrix: np.ndarray
@@ -228,6 +241,17 @@ class _Factored:
     v: np.ndarray
     rank: int | np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.rank)  # one channel's rank is 0-d: it has no length
+
+    def __getitem__(self, index) -> "ChannelMatrix":
+        return ChannelMatrix(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def __setitem__(self, index, other: "ChannelMatrix") -> None:
+        """Overwrite the channels at ``index`` with those of ``other``."""
+        for f in fields(self):
+            getattr(self, f.name)[index] = getattr(other, f.name)
+
     @property
     def n_rx(self) -> int:
         return self.matrix.shape[-2]
@@ -235,6 +259,11 @@ class _Factored:
     @property
     def n_tx(self) -> int:
         return self.matrix.shape[-1]
+
+    @property
+    def eta(self) -> np.ndarray:
+        """Eigen-channel transmissivities, one per singular value."""
+        return self.singular_values**2
 
     @property
     def spectral_norm(self):
@@ -254,6 +283,28 @@ class _Factored:
         h = self.matrix
         return np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
 
+    @property
+    def port_eta(self) -> np.ndarray:
+        """``eta_k`` of each receive port, clipped to [0, 1] and zero beyond the
+        singular values; not cut at the rank."""
+        s = self.singular_values
+        eta = np.zeros(s.shape[:-1] + (self.n_rx,))
+        eta[..., : s.shape[-1]] = np.clip(self.eta, 0.0, 1.0)
+        return eta
+
+    @property
+    def loss_coefficients(self) -> np.ndarray:
+        """Thermal coupling ``sqrt(1 - eta_k)`` of each receive port; with the
+        singular values these satisfy ``S S† + Sgm Sgm† = I``."""
+        return np.sqrt(1.0 - self.port_eta)
+
+    def reconstruction_residual(self):
+        """Max-entry deviation of ``U S V†`` from the stored matrix."""
+        s = self.singular_values
+        k = s.shape[-1]
+        rebuilt = (self.u[..., :k] * s[..., None, :]) @ _dagger(self.v[..., :k])
+        return np.max(np.abs(rebuilt - self.matrix), axis=(-2, -1))
+
     def require_physical(self):
         """Return ``self``, or raise naming the first non-physical norm."""
         physical = self.is_physical
@@ -263,103 +314,18 @@ class _Factored:
         return self
 
 
-@dataclass(frozen=True)
-class ChannelMatrix(_Factored):
-    """Complex channel matrix with its cached singular value decomposition.
-
-    Attributes
-    ----------
-    matrix : ndarray
-        The raw ``n_rx x n_tx`` complex channel.
-    u, v : ndarray
-        Unitary SVD factors (``u`` is ``n_rx x n_rx``, ``v`` is ``n_tx x n_tx``).
-    singular_values : ndarray
-        Descending singular values ``sqrt(eta_k)``.
-    rank : int
-        Count of singular values above the ``rank_tolerance`` of
-        :func:`decompose_channel` times the largest.
-    """
-
-    @property
-    def eta(self) -> np.ndarray:
-        """Eigen-channel transmissivities, one per singular value."""
-        return self.singular_values**2
-
-    @property
-    def port_eta(self) -> np.ndarray:
-        """``eta_k`` of each receive port, clipped to [0, 1] and zero beyond the
-        singular values; not cut at the rank, so any ``rank_tolerance`` works."""
-        eta = np.zeros(self.n_rx)
-        eta[: self.singular_values.size] = np.clip(self.eta, 0.0, 1.0)
-        return eta
-
-    @property
-    def loss_coefficients(self) -> np.ndarray:
-        """Thermal coupling ``sqrt(1 - eta_k)`` of each receive port; with the
-        singular values these satisfy ``S S† + Sgm Sgm† = I``."""
-        return np.sqrt(1.0 - self.port_eta)
-
-    def reconstruction_residual(self) -> float:
-        """Max-entry deviation of ``U S V†`` from the stored matrix."""
-        return float(
-            _reconstruction_residual(self.matrix, self.u, self.singular_values, _dagger(self.v))
-        )
-
-
-@dataclass(frozen=True)
-class ChannelStack(_Factored):
-    """Channels of one shape factorized together, stacked on a leading axis.
-
-    The fields are those of :class:`ChannelMatrix` with one more leading
-    axis (``rank`` is an integer array); ``stack[i]`` is channel i.
-    """
-
-    def __setitem__(self, index, other: "ChannelStack") -> None:
-        """Overwrite the channels at ``index`` with those of ``other``."""
-        for f in fields(self):
-            getattr(self, f.name)[index] = getattr(other, f.name)
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def __getitem__(self, i: int) -> ChannelMatrix:
-        return ChannelMatrix(
-            matrix=self.matrix[i],
-            u=self.u[i],
-            singular_values=self.singular_values[i],
-            v=self.v[i],
-            rank=int(self.rank[i]),
-        )
-
-
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
     return a.conj().swapaxes(-1, -2)
 
 
-def _reconstruction_residual(h, u, s, vh) -> np.ndarray:
-    """Max-entry deviation of ``U S V†`` from ``h``, over the last two axes."""
-    k = s.shape[-1]
-    rebuilt = (u[..., :k] * s[..., None, :]) @ vh[..., :k, :]
-    return np.max(np.abs(rebuilt - h), axis=(-2, -1))
+def decompose_channel(h: np.ndarray) -> ChannelMatrix:
+    """Factorize one raw channel, or a ``(B, n_rx, n_tx)`` stack at once.
 
-
-def decompose_stack(
-    h: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> ChannelStack:
-    """Factorize a ``(B, n_rx, n_tx)`` stack of raw channels at once.
-
-    Every channel of the stack gets every sanity check: finite entries, a
-    reconstruction residual within ``RECONSTRUCTION_TOL * max(s_0, 1)``, and
-    unitary SVD factors.  Physicality is left to
-    :attr:`ChannelStack.is_physical`, since samplers reject rather than raise.
-
-    Parameters
-    ----------
-    h : ndarray
-        Complex ``(B, n_rx, n_tx)`` stack with finite entries.
-    rank_tolerance : float
-        Relative singular-value threshold for the numerical rank.
+    Every channel gets every sanity check: finite entries, a reconstruction
+    residual within ``RECONSTRUCTION_TOL * max(s_0, 1)``, and unitary SVD
+    factors.  Physicality is left to :attr:`ChannelMatrix.is_physical`, since
+    samplers reject rather than raise.
 
     Raises
     ------
@@ -367,37 +333,24 @@ def decompose_stack(
         On non-finite input or if the factorization of any channel fails to
         reproduce it within tolerance (which indicates a broken LAPACK build).
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 3:
-        raise ValueError(f"expected a (B, n_rx, n_tx) stack, got shape {h.shape}")
+    h = np.atleast_2d(np.asarray(h, dtype=complex))
     if not np.isfinite(h).all():
         raise ValueError("channel matrix has non-finite entries")
-    if rank_tolerance <= 0:
-        raise ValueError(f"rank_tolerance must be positive, got {rank_tolerance}")
 
     u, s, vh = np.linalg.svd(h, full_matrices=True)
-    # s[:, :1] is the largest singular value; a zero channel has rank 0
-    rank = np.sum(s > rank_tolerance * s[:, :1], axis=-1)
-    stack = ChannelStack(matrix=h, u=u, singular_values=s, v=_dagger(vh), rank=rank)
+    # s[..., :1] is the largest singular value; a zero channel has rank 0
+    rank = np.sum(s > RANK_TOL * s[..., :1], axis=-1)
+    cm = ChannelMatrix(matrix=h, u=u, singular_values=s, v=_dagger(vh), rank=rank)
 
     # written as "not within" so that a NaN from a broken factorization fails
-    scale = np.maximum(stack.spectral_norm, 1.0)
-    if not (_reconstruction_residual(h, u, s, vh) <= RECONSTRUCTION_TOL * scale).all():
+    scale = np.maximum(cm.spectral_norm, 1.0)
+    if not (cm.reconstruction_residual() <= RECONSTRUCTION_TOL * scale).all():
         raise ValueError("SVD reconstruction residual exceeds tolerance")
     for factor in (u, vh):
         gap = np.abs(factor @ _dagger(factor) - np.eye(factor.shape[-1]))
         if not (gap <= UNITARITY_TOL).all():
             raise ValueError("SVD factor failed the unitarity check")
-    return stack
-
-
-def decompose_channel(
-    h: np.ndarray, rank_tolerance: float = DEFAULT_RANK_TOL
-) -> ChannelMatrix:
-    """Factorize a raw channel into its eigen-channel form: the one-channel
-    case of :func:`decompose_stack`, with the same checks and errors."""
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    return decompose_stack(h[None], rank_tolerance)[0]
+    return cm
 
 
 def build_two_path_channel(paths, spacing: float) -> ChannelMatrix:
@@ -506,8 +459,8 @@ def _fading_draws(spec: FadingSpec, paths, attempt: int) -> np.ndarray:
     return h_r @ h_t
 
 
-def sample_double_rayleigh_stack(spec: FadingSpec, draws):
-    """Draw a stack of double-Rayleigh channels, each deterministic in
+def sample_double_rayleigh(spec: FadingSpec, draws):
+    """Draw one double-Rayleigh channel, or a stack, each deterministic in
     ``(seed, draw)`` alone.
 
     Both hop matrices have i.i.d. circularly-symmetric complex Gaussian
@@ -521,39 +474,36 @@ def sample_double_rayleigh_stack(spec: FadingSpec, draws):
     Parameters
     ----------
     spec : FadingSpec
-    draws : sequence of int or tuple of int
-        Index (or index path) of each draw within the seeded ensemble.
+    draws : int, or sequence of int or tuple of int
+        Index of one draw, or the index (or index path) of each draw, within
+        the seeded ensemble.
 
     Returns
     -------
-    ``(ChannelStack, ndarray)``: the channels in ``draws`` order and how many
-    non-physical samples each draw rejected.
+    ``(ChannelMatrix, rejections)``: for one draw its channel and how many
+    non-physical samples it rejected (an int); for a sequence the stack in
+    ``draws`` order and an array of rejection counts.
 
     Raises
     ------
     NonPhysicalChannelError
         When a draw is non-physical ``MAX_RESAMPLES`` times in a row.
     """
-    paths = [(d,) if np.isscalar(d) else tuple(d) for d in draws]
+    one = np.isscalar(draws)
+    paths = [(draws,)] if one else [(d,) if np.isscalar(d) else tuple(d) for d in draws]
     rejections = np.zeros(len(paths), dtype=int)
     pending = np.arange(len(paths))
     for attempt in range(MAX_RESAMPLES):
-        stack = decompose_stack(_fading_draws(spec, [paths[i] for i in pending], attempt))
+        stack = decompose_channel(_fading_draws(spec, [paths[i] for i in pending], attempt))
         if attempt == 0:
             channels = stack
         else:
             channels[pending] = stack
         pending = pending[~stack.is_physical]
         if not pending.size:
-            return channels, rejections
+            return (channels[0], int(rejections[0])) if one else (channels, rejections)
         rejections[pending] += 1
     raise NonPhysicalChannelError(
         f"{MAX_RESAMPLES} consecutive fading draws were non-physical; "
         f"reference_rtt={spec.reference_rtt} is set too high"
     )
-
-
-def sample_double_rayleigh(spec: FadingSpec, draw) -> ChannelMatrix:
-    """Draw one double-Rayleigh channel, deterministically in ``(seed, draw)``:
-    the one-draw case of :func:`sample_double_rayleigh_stack`."""
-    return sample_double_rayleigh_stack(spec, [draw])[0][0]

@@ -288,7 +288,7 @@ def _build_channel(cfg: _Config):
             spacing=cfg["spacing"],
         )
     spec = FadingSpec(cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
-    return sample_double_rayleigh(spec, cfg["draw"])
+    return sample_double_rayleigh(spec, cfg["draw"])[0]
 
 
 def cmd_channel(args) -> int:
@@ -364,18 +364,22 @@ def cmd_sweep(args) -> int:
     n_rx = cfg["nr"]
     kind = cfg["channel"]
     ranks = cfg["ranks"] if "ranks" in cfg else tuple(range(1, min(n_tx, n_rx) + 1))
-    spec = montecarlo.ExperimentSpec(
-        n_tx=n_tx,
-        n_rx=n_rx,
-        rank_sweep=ranks,
-        reference_rtt=cfg["eta"],
-        # mode gains are ratios of SNRs, so no sweep output depends on the
-        # mode count or the receiver
-        qi=qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9),
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        channel_kind=kind,
-    )
+    try:
+        spec = montecarlo.ExperimentSpec(
+            n_tx=n_tx,
+            n_rx=n_rx,
+            rank_sweep=ranks,
+            reference_rtt=cfg["eta"],
+            # mode gains are ratios of SNRs, so no sweep output depends on the
+            # mode count or the receiver
+            qi=qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9),
+            trials=cfg["trials"],
+            seed=cfg["seed"],
+            channel_kind=kind,
+        )
+    except ValueError as exc:
+        # the spec's own checks are validation failures too
+        raise ConfigError(str(exc)) from None
     # checked before any pool is built: the pool forks every worker at once
     workers = cfg["workers"]
     cpus = os.cpu_count() or 1

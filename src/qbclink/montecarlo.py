@@ -30,7 +30,7 @@ from .channel import (
     ChannelMatrix,
     FadingSpec,
     decompose_channel,
-    sample_double_rayleigh_stack,
+    sample_double_rayleigh,
 )
 from .qi import Protocol, QiParams, emimo_snr, pmimo_snr
 
@@ -192,7 +192,7 @@ def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
     rejected = 0
     for lo in range(start, stop, FADING_BLOCK):
         trials = range(lo, min(lo + FADING_BLOCK, stop))
-        stack, rej = sample_double_rayleigh_stack(fspec, [(rank, t) for t in trials])
+        stack, rej = sample_double_rayleigh(fspec, [(rank, t) for t in trials])
         rejected += int(rej.sum())
         block = slice(lo - start, lo - start + len(trials))
         paired[block] = pmimo_snr(stack, spec.qi) / baseline

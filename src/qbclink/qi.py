@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, ChannelStack
+from .channel import ChannelMatrix
 from .errors import ProtocolMismatchError
 
 
@@ -132,7 +132,7 @@ def chernoff_ber(beta: float, modes: float) -> float:
     return float(np.exp(-beta * modes))
 
 
-def _square_matrix(cm: ChannelMatrix | ChannelStack) -> np.ndarray:
+def _square_matrix(cm: ChannelMatrix) -> np.ndarray:
     if cm.n_rx != cm.n_tx:
         raise ProtocolMismatchError(
             f"paired MIMO needs n_tx == n_rx transceiver pairs, "
@@ -142,7 +142,7 @@ def _square_matrix(cm: ChannelMatrix | ChannelStack) -> np.ndarray:
 
 
 def pmimo_interference(
-    cm: ChannelMatrix | ChannelStack, params: QiParams, coherent: bool = True
+    cm: ChannelMatrix, params: QiParams, coherent: bool = True
 ) -> np.ndarray:
     """Effective noise photons at every receiver of a paired array.
 
@@ -163,7 +163,7 @@ def pmimo_interference(
     return power * params.n_signal + params.n_thermal
 
 
-def pmimo_snr(cm: ChannelMatrix | ChannelStack, params: QiParams, coherent: bool = True):
+def pmimo_snr(cm: ChannelMatrix, params: QiParams, coherent: bool = True):
     """Maximal-ratio-combined SNR of the paired protocol: a number for one
     channel, one entry per channel of a stack.
 
@@ -202,7 +202,7 @@ def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
     return n_rx * share / ((n_tx - 1) * share * beta + 1.0)
 
 
-def emimo_snr(cm: ChannelMatrix | ChannelStack, params: QiParams):
+def emimo_snr(cm: ChannelMatrix, params: QiParams):
     """Eigen-channel protocol SNR ``trace(H H†) Ns / Nz``: a number for one
     channel, one entry per channel of a stack.
 

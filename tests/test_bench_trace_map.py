@@ -51,3 +51,38 @@ def test_traced_function_has_an_import_site(module_name, attr):
     fn = getattr(importlib.import_module(module_name), attr, None)
     assert inspect.isfunction(fn), f"{module_name}.{attr} is not a function"
     assert _import_sites(fn), f"{module_name}.{attr} has no import site in qbclink"
+
+
+SWEEP_LAYERS = [
+    ("qbclink.channel", "sample_double_rayleigh"),
+    ("qbclink.channel", "decompose_channel"),
+    ("qbclink.qi", "pmimo_snr"),
+    ("qbclink.qi", "pmimo_interference"),
+    ("qbclink.qi", "emimo_snr"),
+]
+
+
+def test_fading_sweep_runs_through_the_traced_names(monkeypatch):
+    """The sweep must reach each layer through a name the trace map wraps, or
+    its span reads 0 and its time lands in ``run_rank_sweep``."""
+    from qbclink.montecarlo import FADING_BLOCK, ChannelKind, ExperimentSpec, run_rank_sweep
+    from qbclink.qi import QiParams
+
+    calls = dict.fromkeys(SWEEP_LAYERS, 0)
+    for layer in SWEEP_LAYERS:
+        fn = getattr(importlib.import_module(layer[0]), layer[1])
+
+        def counting(*args, _fn=fn, _layer=layer, **kwargs):
+            calls[_layer] += 1
+            return _fn(*args, **kwargs)
+
+        for module_name, key in _import_sites(fn):
+            monkeypatch.setattr(sys.modules[module_name], key, counting)
+
+    spec = ExperimentSpec(
+        n_tx=4, n_rx=4, rank_sweep=(1, 2), reference_rtt=1e-5,
+        qi=QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9),
+        trials=FADING_BLOCK + 6, seed=0, channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
+    )
+    run_rank_sweep(spec)
+    assert all(calls.values()), calls

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,10 +18,8 @@ from qbclink import (
     build_clutter_channel,
     build_two_path_channel,
     decompose_channel,
-    decompose_stack,
     round_trip_transmissivity,
     sample_double_rayleigh,
-    sample_double_rayleigh_stack,
     siso_beam_splitter,
     steering_vector,
     substream,
@@ -310,7 +310,7 @@ class TestDecomposeStack:
     def test_each_channel_matches_its_own_svd(self):
         h = _stack()
         h[2] = 0.0
-        stack = decompose_stack(h)
+        stack = decompose_channel(h)
         assert len(stack) == len(h)
         for i, hi in enumerate(h):
             u, s, vh = np.linalg.svd(hi)
@@ -326,7 +326,7 @@ class TestDecomposeStack:
         h = _stack()
         h[index, 4, 1] = value
         with pytest.raises(ValueError, match="non-finite"):
-            decompose_stack(h)
+            decompose_channel(h)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -347,13 +347,13 @@ class TestDecomposeStack:
 
         monkeypatch.setattr(np.linalg, "svd", broken_svd)
         with pytest.raises(ValueError, match=message):
-            decompose_stack(_stack())
+            decompose_channel(_stack())
 
     def test_properties_agree_with_each_channel(self):
         h = _stack()
         h[1] *= 10.0
         h[2] = 0.0
-        stack = decompose_stack(h)
+        stack = decompose_channel(h)
         assert stack.is_physical.any() and not stack.is_physical.all()
         for i in range(len(stack)):
             cm = stack[i]
@@ -362,9 +362,26 @@ class TestDecomposeStack:
             assert stack.trace_power[i] == cm.trace_power
         assert (stack.n_rx, stack.n_tx) == (stack[0].n_rx, stack[0].n_tx)
 
-    def test_shape_must_be_a_stack(self):
-        with pytest.raises(ValueError, match="stack"):
-            decompose_stack(np.eye(3))
+    def test_one_channel_equals_its_stack_of_one(self):
+        h = _stack()[0]
+        h[1] = 0.0  # rank-deficient, so rank and port_eta see a zero
+        one, stacked = decompose_channel(h), decompose_channel(h[None])[0]
+        for f in fields(one):
+            assert np.array_equal(getattr(one, f.name), getattr(stacked, f.name)), f.name
+        assert one.rank == 4
+        for name in ("spectral_norm", "trace_power", "port_eta", "loss_coefficients"):
+            assert np.array_equal(getattr(one, name), getattr(stacked, name)), name
+
+    def test_port_quantities_agree_with_each_channel(self):
+        h = _stack(n=4)[:, :, :3]  # fewer singular values than receive ports
+        h[2] = 0.0
+        h[4, :, 2] = 0.0
+        stack = decompose_channel(h)
+        assert stack.port_eta.shape == stack.loss_coefficients.shape == (6, 4)
+        for i in range(len(stack)):
+            assert np.array_equal(stack.port_eta[i], stack[i].port_eta)
+            assert np.array_equal(stack.loss_coefficients[i], stack[i].loss_coefficients)
+            assert stack.reconstruction_residual()[i] == stack[i].reconstruction_residual()
 
 
 class TestNoiseLoading:
@@ -380,12 +397,11 @@ class TestNoiseLoading:
         rng = np.random.default_rng(13)
         h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         h *= 0.7 / np.linalg.svd(h, compute_uv=False)[0]
-        # a large rank tolerance must not cut the coefficients off at the rank
-        for cm in (
-            decompose_channel(h),
-            decompose_channel(h, rank_tolerance=0.6),
-            decompose_channel(np.diag([0.9, 0.5]), rank_tolerance=0.6),
-        ):
+        # the second singular value of the diagonal channel falls under the
+        # rank threshold; the coefficients must not be cut off at the rank
+        tiny = decompose_channel(np.diag([0.9, 1e-10]))
+        assert tiny.rank == 1 and tiny.port_eta[1] > 0
+        for cm in (decompose_channel(h), tiny):
             nl = cm.require_physical()
             n = cm.n_rx
             sigma = np.zeros((n, n))
@@ -421,7 +437,7 @@ class TestDoubleRayleigh:
         draws = 10_000
         traces = np.empty(draws)
         for i in range(draws):
-            traces[i] = sample_double_rayleigh(spec, i).trace_power
+            traces[i] = sample_double_rayleigh(spec, i)[0].trace_power
         target = spec.n_tag * spec.n_rx * spec.reference_rtt
         stderr = traces.std(ddof=1) / np.sqrt(draws)
         assert abs(traces.mean() - target) <= 3.0 * stderr
@@ -429,7 +445,7 @@ class TestDoubleRayleigh:
     def test_single_tag_antenna_is_rank_one(self):
         spec = FadingSpec(n_tx=4, n_rx=4, n_tag=1, reference_rtt=1e-5, seed=1)
         for i in range(50):
-            assert sample_double_rayleigh(spec, i).rank == 1
+            assert sample_double_rayleigh(spec, i)[0].rank == 1
 
     def test_rank_equals_tag_count(self):
         # the rank law: 10^3 draws across tag counts, zero failures allowed
@@ -438,42 +454,42 @@ class TestDoubleRayleigh:
         for i in range(1000):
             n_tag = int(rng.integers(1, 9))
             spec = FadingSpec(8, 8, n_tag, 1e-5, seed=500)
-            if sample_double_rayleigh(spec, i).rank != n_tag:
+            if sample_double_rayleigh(spec, i)[0].rank != n_tag:
                 failures += 1
         assert failures == 0
 
     def test_bit_identical_for_same_seed_and_draw(self):
         spec = FadingSpec(8, 8, 4, 1e-5, seed=77)
-        a = sample_double_rayleigh(spec, 12)
-        b = sample_double_rayleigh(spec, 12)
+        a, _ = sample_double_rayleigh(spec, 12)
+        b, _ = sample_double_rayleigh(spec, 12)
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_draws_differ_across_indices_and_seeds(self):
         spec = FadingSpec(8, 8, 4, 1e-5, seed=77)
         other = FadingSpec(8, 8, 4, 1e-5, seed=78)
         assert not np.array_equal(
-            sample_double_rayleigh(spec, 0).matrix,
-            sample_double_rayleigh(spec, 1).matrix,
+            sample_double_rayleigh(spec, 0)[0].matrix,
+            sample_double_rayleigh(spec, 1)[0].matrix,
         )
         assert not np.array_equal(
-            sample_double_rayleigh(spec, 0).matrix,
-            sample_double_rayleigh(other, 0).matrix,
+            sample_double_rayleigh(spec, 0)[0].matrix,
+            sample_double_rayleigh(other, 0)[0].matrix,
         )
 
     def test_rejection_counter_reported(self):
         spec = FadingSpec(2, 2, 2, reference_rtt=1e-5, seed=5)
-        _, rejections = sample_double_rayleigh_stack(spec, [0])
-        assert rejections[0] == 0
+        _, rejections = sample_double_rayleigh(spec, 0)
+        assert rejections == 0
 
     def test_batched_rejection_path_matches_one_draw_at_a_time(self):
         # at this power most rank-8 draws are non-physical at least once
         spec = FadingSpec(8, 8, 8, 0.04, seed=5)
         draws = [(8, t) for t in range(200)]
-        stack, rejections = sample_double_rayleigh_stack(spec, draws)
+        stack, rejections = sample_double_rayleigh(spec, draws)
         assert np.count_nonzero(rejections) == 156
         assert rejections.max() == 23
         for i, draw in enumerate(draws):
-            one, (rej,) = sample_double_rayleigh_stack(spec, [draw])
+            one, (rej,) = sample_double_rayleigh(spec, [draw])
             cm = one[0]
             assert rej == rejections[i]
             h, attempts = _reference_draw(spec, draw)
@@ -484,10 +500,25 @@ class TestDoubleRayleigh:
             assert stack[i].rank == cm.rank
         assert np.all(stack.is_physical)
 
+    @pytest.mark.parametrize(
+        "spec", [FadingSpec(4, 4, 2, 1e-5, seed=3), FadingSpec(8, 8, 8, 0.04, seed=5)]
+    )
+    def test_one_draw_equals_its_stack_of_one(self, spec):
+        total = 0
+        for draw in [*range(12), 2**32]:
+            cm, rej = sample_double_rayleigh(spec, draw)
+            stack, rejections = sample_double_rayleigh(spec, [draw])
+            assert type(rej) is int and rej == rejections[0]
+            for f in fields(cm):
+                assert np.array_equal(getattr(cm, f.name), getattr(stack[0], f.name)), f.name
+            total += rej
+        # the rejection-heavy spec takes the redraw path
+        assert (total > 0) == (spec.reference_rtt == 0.04)
+
     def test_exhausted_resamples_raise(self):
         spec = FadingSpec(4, 4, 4, 0.9, seed=3)
         with pytest.raises(NonPhysicalChannelError, match="consecutive"):
-            sample_double_rayleigh_stack(spec, range(3))
+            sample_double_rayleigh(spec, range(3))
         with pytest.raises(NonPhysicalChannelError, match="consecutive"):
             sample_double_rayleigh(spec, 0)
 

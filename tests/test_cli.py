@@ -94,9 +94,32 @@ class TestSweep:
 
     def test_bad_rank_sweep_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["sweep", "--ranks", "0..9"])
-        assert code != 0
+        assert code == 2
         code, _, err = run(capsys, ["sweep", "--ranks", "nope"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--ranks", "0..9"], "rank 0 outside [1, 8]"),
+            (["--ranks", "3..1"], "rank_sweep must be non-empty"),
+            (["--ranks", "9"], "rank 9 outside [1, 8]"),
+            (["--nt", "8", "--nr", "4"], "the paired protocol needs n_tx == n_rx >= 1, got 8, 4"),
+            (["--eta", "2"], "reference_rtt must lie in (0, 1)"),
+        ],
+        ids=["rank-0", "empty-range", "rank-9", "not-square", "eta-2"],
+    )
+    def test_spec_error_is_validation_failure_before_any_sweep(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_rank_sweep ran")
+
+        monkeypatch.setattr(montecarlo, "run_rank_sweep", no_sweep)
+        code, out, err = run(capsys, ["sweep", *argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_unknown_channel_kind(self, capsys):
         code, _, err = run(capsys, ["sweep", "--channel", "rician"])

@@ -17,7 +17,7 @@ from qbclink import (
     pmimo_snr,
     pmimo_snr_ensemble,
     run_rank_sweep,
-    sample_double_rayleigh_stack,
+    sample_double_rayleigh,
 )
 from qbclink.montecarlo import (
     FADING_BLOCK,
@@ -162,7 +162,7 @@ class TestRankSweep:
         fspec = FadingSpec(8, 8, 8, reference_rtt, spec.seed)
         rejections = 0
         for t in range(n):
-            one, (rej,) = sample_double_rayleigh_stack(fspec, [(8, t)])
+            one, (rej,) = sample_double_rayleigh(fspec, [(8, t)])
             cm = one[0]
             rejections += rej
             assert paired[t] == pmimo_snr(cm, spec.qi) / spec.baseline_snr

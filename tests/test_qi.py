@@ -13,7 +13,6 @@ from qbclink import (
     Receiver,
     chernoff_ber,
     decompose_channel,
-    decompose_stack,
     emimo_mode_ratio,
     emimo_snr,
     pmimo_interference,
@@ -261,11 +260,11 @@ class TestEigenMimo:
 def random_physical_stack(rng, b, n):
     h = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
     top = np.linalg.svd(h, compute_uv=False)[:, :1, None]
-    return decompose_stack(h * rng.uniform(0.05, 0.95, (b, 1, 1)) / top)
+    return decompose_channel(h * rng.uniform(0.05, 0.95, (b, 1, 1)) / top)
 
 
 class TestStackedChannels:
-    """On a ChannelStack the protocol functions give, entry by entry, their
+    """On a stack the protocol functions give, entry by entry, their
     values on each channel of it, bit for bit."""
 
     @pytest.mark.parametrize("coherent", [True, False])
@@ -294,7 +293,7 @@ class TestStackedChannels:
         rng = np.random.default_rng(23)
         h = random_physical_stack(rng, 5, 4).matrix
         h[3] *= 1.5 / np.linalg.svd(h[3], compute_uv=False)[0]
-        stack = decompose_stack(h)
+        stack = decompose_channel(h)
         norm = stack.spectral_norm[3]
         assert norm > 1.0 and list(stack.is_physical) == [True, True, True, False, True]
         with pytest.raises(NonPhysicalChannelError, match=re.escape(f"{norm:.6g} exceeds 1")):

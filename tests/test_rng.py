@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qbclink import rng
-from qbclink.channel import FadingSpec, sample_double_rayleigh_stack
+from qbclink.channel import FadingSpec, sample_double_rayleigh
 from qbclink.montecarlo import ChannelKind, ExperimentSpec, run_rank_sweep
 from qbclink.qi import QiParams
 from qbclink.rng import _state_words, standard_normals, substream
@@ -113,12 +113,12 @@ def test_fading_path_builds_no_substream(monkeypatch):
     )
     run_rank_sweep(spec)
     # 0.04 rejects most rank-8 draws, so redraws at attempt > 0 run too
-    _, rejections = sample_double_rayleigh_stack(
+    _, rejections = sample_double_rayleigh(
         FadingSpec(8, 8, 8, 0.04, seed=5), [(8, t) for t in range(80)]
     )
     assert rejections.sum() > 0
     assert calls == []
 
     # the fallback still runs through substream, once per attempt
-    _, rejections = sample_double_rayleigh_stack(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
+    _, rejections = sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
     assert len(calls) == 1 + int(rejections[0])
