@@ -32,6 +32,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 RANK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
 UNITARITY_TOL = 1e-10
+FROBENIUS_TOL = 1e-12  # relative, on sum_k s_k**2 = trace(H H†) of a sampled channel
 # Slack on the spectral-norm-at-most-one test; absorbs SVD rounding for
 # channels that are lossless along one eigen-channel.
 PHYSICALITY_SLACK = 1e-12
@@ -91,16 +92,10 @@ class LinkBudget:
     dist_tag_rx: float
 
     def __post_init__(self):
-        for name in (
-            "antenna_gain",
-            "angular_frequency",
-            "qrcs",
-            "dist_tx_tag",
-            "dist_tag_rx",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise ValueError(f"{f.name} must be positive, got {value}")
 
 
 def round_trip_transmissivity(lb: LinkBudget) -> float:
@@ -118,13 +113,7 @@ def round_trip_transmissivity(lb: LinkBudget) -> float:
         If the result underflows to zero.
     """
     num = lb.antenna_gain**2 * SPEED_OF_LIGHT**2 * lb.qrcs
-    den = (
-        16.0
-        * np.pi
-        * lb.angular_frequency**2
-        * lb.dist_tx_tag**2
-        * lb.dist_tag_rx**2
-    )
+    den = 16.0 * np.pi * lb.angular_frequency**2 * lb.dist_tx_tag**2 * lb.dist_tag_rx**2
     eta = num / den
     if eta > 1.0:
         if eta <= 1.0 + 1e-12:
@@ -154,10 +143,7 @@ class SteeringGeometry:
     def __post_init__(self):
         if self.element_count < 1:
             raise ValueError(f"element_count must be >= 1, got {self.element_count}")
-        if not -1.0 <= self.direction_cosine <= 1.0:
-            raise ValueError(
-                f"direction cosine must lie in [-1, 1], got {self.direction_cosine}"
-            )
+        _check_cosine(self.direction_cosine)
 
 
 def steering_vector(geometry: SteeringGeometry) -> np.ndarray:
@@ -168,22 +154,32 @@ def steering_vector(geometry: SteeringGeometry) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PropagationPath:
-    """Direct tag path seen from both arrays (two-antenna tag model)."""
+class _Path:
+    """Transmissivity and phase of a path; each later field is a direction cosine."""
 
     transmissivity: float
     phase: float
-    rx_cosine: float
-    tx_cosine: float
 
     def __post_init__(self):
-        _check_path_transmissivity(self.transmissivity)
-        _check_cosine(self.rx_cosine)
-        _check_cosine(self.tx_cosine)
+        # zero is allowed so degenerate (switched-off) paths can be expressed
+        if not 0.0 <= self.transmissivity <= 1.0:
+            raise ValueError(
+                f"path transmissivity must lie in [0, 1], got {self.transmissivity}"
+            )
+        for f in fields(self)[2:]:
+            _check_cosine(getattr(self, f.name))
 
 
 @dataclass(frozen=True)
-class ClutterPath:
+class PropagationPath(_Path):
+    """Direct tag path seen from both arrays (two-antenna tag model)."""
+
+    rx_cosine: float
+    tx_cosine: float
+
+
+@dataclass(frozen=True)
+class ClutterPath(_Path):
     """One clutter scatterer between the tag array and one reader array.
 
     ``tag_cosine`` is shared between the transmit-side and receive-side path
@@ -191,21 +187,8 @@ class ClutterPath:
     from the reader array on this side of the tag.
     """
 
-    transmissivity: float
-    phase: float
     tag_cosine: float
     far_cosine: float
-
-    def __post_init__(self):
-        _check_path_transmissivity(self.transmissivity)
-        _check_cosine(self.tag_cosine)
-        _check_cosine(self.far_cosine)
-
-
-def _check_path_transmissivity(value: float) -> None:
-    # zero is allowed so degenerate (switched-off) paths can be expressed
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"path transmissivity must lie in [0, 1], got {value}")
 
 
 def _check_cosine(value: float) -> None:
@@ -227,8 +210,9 @@ class ChannelMatrix:
     ----------
     matrix : ndarray
         The raw ``n_rx x n_tx`` complex channel.
-    u, v : ndarray
-        Unitary SVD factors (``u`` is ``n_rx x n_rx``, ``v`` is ``n_tx x n_tx``).
+    u, v : ndarray or None
+        Unitary SVD factors (``u`` is ``n_rx x n_rx``, ``v`` is ``n_tx x n_tx``),
+        or None on a sampled channel (``decompose_channel(matrix)`` gives them).
     singular_values : ndarray
         Descending singular values ``sqrt(eta_k)``.
     rank : int or ndarray
@@ -245,12 +229,8 @@ class ChannelMatrix:
         return len(self.rank)  # one channel's rank is 0-d: it has no length
 
     def __getitem__(self, index) -> "ChannelMatrix":
-        return ChannelMatrix(*(getattr(self, f.name)[index] for f in fields(self)))
-
-    def __setitem__(self, index, other: "ChannelMatrix") -> None:
-        """Overwrite the channels at ``index`` with those of ``other``."""
-        for f in fields(self):
-            getattr(self, f.name)[index] = getattr(other, f.name)
+        parts = (getattr(self, f.name) for f in fields(self))
+        return ChannelMatrix(*(None if a is None else a[index] for a in parts))
 
     @property
     def n_rx(self) -> int:
@@ -280,8 +260,7 @@ class ChannelMatrix:
     @property
     def trace_power(self):
         """``trace(H H†)``, the summed eigen-channel transmissivities."""
-        h = self.matrix
-        return np.sum(np.abs(h.reshape(h.shape[:-2] + (-1,))) ** 2, axis=-1)
+        return np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1))
 
     @property
     def port_eta(self) -> np.ndarray:
@@ -372,12 +351,7 @@ def build_two_path_channel(paths, spacing: float) -> ChannelMatrix:
 
 
 def build_clutter_channel(
-    tx_paths,
-    rx_paths,
-    n_tx: int,
-    n_tag: int,
-    n_rx: int,
-    spacing: float,
+    tx_paths, rx_paths, n_tx: int, n_tag: int, n_rx: int, spacing: float
 ) -> ChannelMatrix:
     """Compose reader-to-tag and tag-to-reader clutter scattering.
 
@@ -459,6 +433,20 @@ def _fading_draws(spec: FadingSpec, paths, attempt: int) -> np.ndarray:
     return h_r @ h_t
 
 
+def _sampled_channels(h: np.ndarray) -> ChannelMatrix:
+    """Raw draws with their checked ``compute_uv=False`` singular values and rank."""
+    s = np.linalg.svd(h, compute_uv=False)
+    cm = ChannelMatrix(h, None, s, None, np.sum(s > RANK_TOL * s[..., :1], axis=-1))
+    power = cm.trace_power
+    # written as "not within" so that a NaN fails
+    ok = np.isfinite(h).all(axis=(-2, -1)) & (s[..., -1] >= 0.0)
+    ok &= (s[..., :-1] >= s[..., 1:]).all(axis=-1)
+    ok &= np.abs(np.sum(cm.eta, axis=-1) - power) <= FROBENIUS_TOL * power
+    if not ok.all():
+        raise ValueError("fading draw failed the checks of its singular values")
+    return cm
+
+
 def sample_double_rayleigh(spec: FadingSpec, draws):
     """Draw one double-Rayleigh channel, or a stack, each deterministic in
     ``(seed, draw)`` alone.
@@ -482,25 +470,33 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
     -------
     ``(ChannelMatrix, rejections)``: for one draw its channel and how many
     non-physical samples it rejected (an int); for a sequence the stack in
-    ``draws`` order and an array of rejection counts.
+    ``draws`` order and an array of rejection counts.  The channels carry no
+    ``u``/``v``; ``decompose_channel(cm.matrix)`` gives them.
 
     Raises
     ------
     NonPhysicalChannelError
         When a draw is non-physical ``MAX_RESAMPLES`` times in a row.
+    ValueError
+        If a draw has non-finite entries, or singular values that are negative,
+        unordered or miss ``sum_k s_k**2 = trace(H H†)`` by ``FROBENIUS_TOL``.
     """
     one = np.isscalar(draws)
-    paths = [(draws,)] if one else [(d,) if np.isscalar(d) else tuple(d) for d in draws]
+    paths = [(draws,)] if one else [
+        d if isinstance(d, tuple) else (d,) if np.isscalar(d) else tuple(d) for d in draws
+    ]
     rejections = np.zeros(len(paths), dtype=int)
     pending = np.arange(len(paths))
     for attempt in range(MAX_RESAMPLES):
-        stack = decompose_channel(_fading_draws(spec, [paths[i] for i in pending], attempt))
+        drawn = _sampled_channels(_fading_draws(spec, [paths[i] for i in pending], attempt))
         if attempt == 0:
-            channels = stack
+            h, s, rank = drawn.matrix, drawn.singular_values, drawn.rank
         else:
-            channels[pending] = stack
-        pending = pending[~stack.is_physical]
+            h[pending], s[pending] = drawn.matrix, drawn.singular_values
+            rank[pending] = drawn.rank
+        pending = pending[~drawn.is_physical]
         if not pending.size:
+            channels = ChannelMatrix(h, None, s, None, rank)
             return (channels[0], int(rejections[0])) if one else (channels, rejections)
         rejections[pending] += 1
     raise NonPhysicalChannelError(

@@ -34,6 +34,7 @@ from .channel import (
     PropagationPath,
     build_clutter_channel,
     build_two_path_channel,
+    decompose_channel,
     round_trip_transmissivity,
     sample_double_rayleigh,
 )
@@ -261,6 +262,14 @@ def _write_lines(path, lines) -> None:
 # -- commands ---------------------------------------------------------------
 
 
+def _spec(factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, whose own ValueError is a validation failure."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_link_budget(args) -> int:
     cfg = _merge_config(args, _LINK_BUDGET_KEYS)
     # the table lists the LinkBudget fields in order
@@ -287,21 +296,21 @@ def _build_channel(cfg: _Config):
             n_rx=cfg["nr"],
             spacing=cfg["spacing"],
         )
-    spec = FadingSpec(cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
-    return sample_double_rayleigh(spec, cfg["draw"])[0]
+    spec = _spec(FadingSpec, cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
+    # the sampler gives no factors; the report's values come from the full SVD
+    return decompose_channel(sample_double_rayleigh(spec, cfg["draw"])[0].matrix)
 
 
 def cmd_channel(args) -> int:
     cfg = _merge_config(args, _CHANNEL_KEYS)
+    report = "ns" in cfg and "nz" in cfg and "eta" in cfg
+    params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
     cm = _build_channel(cfg)
     print(f"shape,{cm.n_rx},{cm.n_tx}")
     print(f"rank,{cm.rank}")
     print(f"spectral_norm,{cm.spectral_norm:.17g}")
     print("eta_k," + " ".join(f"{v:.17g}" for v in cm.eta))
-    if "ns" in cfg and "nz" in cfg and "eta" in cfg:
-        params = qi.QiParams(
-            n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=cfg["modes"]
-        )
+    if report:
         print(qi.PROTOCOL_REPORT_HEADER)
         for row in qi.protocol_reports(cm, params, cfg["eta"]):
             print(row.csv_row())
@@ -345,10 +354,7 @@ def cmd_ber(args) -> int:
     lines = ["receiver,modes,beta,ber"]
     for receiver in receivers:
         for modes in grid:
-            params = qi.QiParams(
-                n_signal=n_signal, n_thermal=n_thermal, modes=float(modes),
-                receiver=receiver,
-            )
+            params = _spec(qi.QiParams, n_signal, n_thermal, float(modes), receiver)
             beta = qi.siso_snr(eta, params)
             ber = qi.chernoff_ber(beta, float(modes))
             lines.append(f"{receiver.value},{modes:.17g},{beta:.17g},{ber:.17g}")
@@ -364,22 +370,19 @@ def cmd_sweep(args) -> int:
     n_rx = cfg["nr"]
     kind = cfg["channel"]
     ranks = cfg["ranks"] if "ranks" in cfg else tuple(range(1, min(n_tx, n_rx) + 1))
-    try:
-        spec = montecarlo.ExperimentSpec(
-            n_tx=n_tx,
-            n_rx=n_rx,
-            rank_sweep=ranks,
-            reference_rtt=cfg["eta"],
-            # mode gains are ratios of SNRs, so no sweep output depends on the
-            # mode count or the receiver
-            qi=qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9),
-            trials=cfg["trials"],
-            seed=cfg["seed"],
-            channel_kind=kind,
-        )
-    except ValueError as exc:
-        # the spec's own checks are validation failures too
-        raise ConfigError(str(exc)) from None
+    spec = _spec(
+        montecarlo.ExperimentSpec,
+        n_tx=n_tx,
+        n_rx=n_rx,
+        rank_sweep=ranks,
+        reference_rtt=cfg["eta"],
+        # mode gains are ratios of SNRs, so no sweep output depends on the
+        # mode count or the receiver
+        qi=_spec(qi.QiParams, cfg["ns"], cfg["nz"], modes=1e9),
+        trials=cfg["trials"],
+        seed=cfg["seed"],
+        channel_kind=kind,
+    )
     # checked before any pool is built: the pool forks every worker at once
     workers = cfg["workers"]
     cpus = os.cpu_count() or 1
@@ -405,7 +408,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _merge_config(args, _ORACLE_KEYS)
-    params = qi.QiParams(n_signal=cfg["ns"], n_thermal=cfg["nz"], modes=1e9)
+    params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], modes=1e9)
     report = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
     for name, value in report.worst.items():
         print(f"{name},{value:.17g}")

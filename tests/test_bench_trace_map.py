@@ -55,21 +55,25 @@ def test_traced_function_has_an_import_site(module_name, attr):
 
 SWEEP_LAYERS = [
     ("qbclink.channel", "sample_double_rayleigh"),
-    ("qbclink.channel", "decompose_channel"),
     ("qbclink.qi", "pmimo_snr"),
     ("qbclink.qi", "pmimo_interference"),
     ("qbclink.qi", "emimo_snr"),
 ]
 
 
+# the fading sweep reads singular values only: it must never factor a draw
+UNCALLED_IN_SWEEP = ("qbclink.channel", "decompose_channel")
+
+
 def test_fading_sweep_runs_through_the_traced_names(monkeypatch):
     """The sweep must reach each layer through a name the trace map wraps, or
-    its span reads 0 and its time lands in ``run_rank_sweep``."""
+    its span reads 0 and its time lands in ``run_rank_sweep``; and it must not
+    call ``decompose_channel`` at all."""
     from qbclink.montecarlo import FADING_BLOCK, ChannelKind, ExperimentSpec, run_rank_sweep
     from qbclink.qi import QiParams
 
-    calls = dict.fromkeys(SWEEP_LAYERS, 0)
-    for layer in SWEEP_LAYERS:
+    calls = dict.fromkeys([*SWEEP_LAYERS, UNCALLED_IN_SWEEP], 0)
+    for layer in calls:
         fn = getattr(importlib.import_module(layer[0]), layer[1])
 
         def counting(*args, _fn=fn, _layer=layer, **kwargs):
@@ -85,4 +89,5 @@ def test_fading_sweep_runs_through_the_traced_names(monkeypatch):
         trials=FADING_BLOCK + 6, seed=0, channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
     )
     run_rank_sweep(spec)
+    assert calls.pop(UNCALLED_IN_SWEEP) == 0
     assert all(calls.values()), calls

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qbclink import channel
 from qbclink import (
     ClutterPath,
     DegenerateLinkError,
@@ -495,9 +496,8 @@ class TestDoubleRayleigh:
             h, attempts = _reference_draw(spec, draw)
             assert attempts == rej
             assert np.array_equal(cm.matrix, h)
-            for name in ("matrix", "u", "singular_values", "v"):
+            for name in ("matrix", "singular_values", "rank"):
                 assert np.array_equal(getattr(stack[i], name), getattr(cm, name))
-            assert stack[i].rank == cm.rank
         assert np.all(stack.is_physical)
 
     @pytest.mark.parametrize(
@@ -515,6 +515,24 @@ class TestDoubleRayleigh:
         # the rejection-heavy spec takes the redraw path
         assert (total > 0) == (spec.reference_rtt == 0.04)
 
+    @pytest.mark.parametrize(
+        "spec", [FadingSpec(4, 4, 2, 1e-5, seed=3), FadingSpec(8, 8, 8, 0.04, seed=5)]
+    )
+    def test_singular_values_agree_with_the_full_svd(self, spec):
+        stack, _ = sample_double_rayleigh(spec, [(spec.n_tag, t) for t in range(200)])
+        assert stack.u is None and stack.v is None
+        full = decompose_channel(stack.matrix)
+        # Weyl: a backward-stable SVD moves each value by ~n eps times the norm
+        bound = max(spec.n_rx, spec.n_tx) * np.finfo(float).eps * full.spectral_norm
+        gap = np.abs(stack.singular_values - full.singular_values)
+        assert np.all(gap <= bound[:, None])
+        assert np.array_equal(stack.rank, full.rank)
+
+    def test_no_draws_give_an_empty_stack(self):
+        stack, rejections = sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, seed=3), [])
+        assert stack.matrix.shape == (0, 4, 4) and stack.singular_values.shape == (0, 4)
+        assert rejections.shape == (0,)
+
     def test_exhausted_resamples_raise(self):
         spec = FadingSpec(4, 4, 4, 0.9, seed=3)
         with pytest.raises(NonPhysicalChannelError, match="consecutive"):
@@ -529,3 +547,57 @@ class TestDoubleRayleigh:
             FadingSpec(2, 2, 2, 1.5, 0)
         with pytest.raises(ValueError):
             FadingSpec(2, 2, 2, 1e-5, -1)
+
+
+REAL_SVD = np.linalg.svd
+CHECKED_SPEC = FadingSpec(4, 4, 4, 1e-5, seed=3)
+
+
+def _with_member(fix):
+    """An ``svd`` whose values for member 1 of a block go through ``fix``."""
+
+    def svd(h, *args, **kwargs):
+        s = REAL_SVD(h, *args, **kwargs).copy()
+        s[1] = fix(s[1])
+        return s
+
+    return svd
+
+
+class TestSampledSingularValueChecks:
+    """Each check of the sampler, alone, must reject one bad member of a block."""
+
+    @pytest.mark.parametrize(
+        "fix",
+        [
+            lambda s: np.where(np.arange(s.size) == 2, np.nan, s),
+            lambda s: s[::-1],  # ascending: same sum of squares
+            lambda s: s * np.array([1.0, 1.0, 1.0, -1.0]),  # negative, still descending
+            lambda s: s * (1.0 + 1e-9),  # ordered, but misses trace(H H†)
+        ],
+        ids=["nan", "ascending", "negative", "frobenius"],
+    )
+    def test_bad_singular_values_raise(self, monkeypatch, fix):
+        monkeypatch.setattr(np.linalg, "svd", _with_member(fix))
+        with pytest.raises(ValueError, match="checks of its singular values"):
+            sample_double_rayleigh(CHECKED_SPEC, range(4))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("clean_svd", [False, True], ids=["svd", "clean-svd"])
+    def test_non_finite_entry_raises(self, monkeypatch, bad, clean_svd):
+        real_draws = channel._fading_draws
+        clean = []
+
+        def draws(*args):
+            h = real_draws(*args)
+            clean.append(h.copy())
+            h[1, 0, 0] = bad
+            return h
+
+        monkeypatch.setattr(channel, "_fading_draws", draws)
+        if clean_svd:
+            # the values of the clean draws: only the entry check can see the bad one
+            monkeypatch.setattr(np.linalg, "svd", lambda h, **kw: REAL_SVD(clean[-1], **kw))
+        match = "checks of its singular values" if clean_svd or bad == np.inf else None
+        with pytest.raises(ValueError, match=match):
+            sample_double_rayleigh(CHECKED_SPEC, range(4))

@@ -409,6 +409,39 @@ def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, case):
     assert f"key '{name}' must be at least" in err
 
 
+FADING_4X4 = ["channel", "--channel", "fading", "--nt", "4", "--nr", "4"]
+# a spec's own ValueError, its exact message, and the command's first work
+SPEC_ERRORS = {
+    "oracle-ns": (["oracle", "--ns", "-1"], "n_signal must be positive, got -1.0",
+                  "qbclink.gaussian.run_oracle"),
+    "ber-ns": (["ber", "--ns", "-1"], "n_signal must be positive, got -1.0",
+               "qbclink.qi.siso_snr"),
+    "channel-eta": (FADING_4X4 + ["--set", "nb=2", "--seed", "1", "--eta", "2"],
+                    "reference_rtt must lie in (0, 1), got 2.0",
+                    "qbclink.cli.sample_double_rayleigh"),
+    "channel-nb": (FADING_4X4 + ["--set", "nb=8", "--seed", "1", "--eta", "1e-5"],
+                   "n_tag=8 exceeds min(n_tx, n_rx)=4; the rank law would not hold",
+                   "qbclink.cli.sample_double_rayleigh"),
+    "channel-ns": (FADING_CHANNEL + ["--ns", "-1", "--nz", "100"],
+                   "n_signal must be positive, got -1.0",
+                   "qbclink.cli.sample_double_rayleigh"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_ERRORS))
+def test_spec_error_is_validation_failure_before_any_work(capsys, monkeypatch, case):
+    argv, message, first_work = SPEC_ERRORS[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran")
+
+    monkeypatch.setattr(first_work, no_work)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_draw_past_the_block_seeder_accepted(capsys):
     # a path word of 2**32 or more falls back to substream
     code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={2**32}"])
