@@ -32,7 +32,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 RANK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-FROBENIUS_TOL = 1e-12  # relative, on sum_k s_k**2 = trace(H H†) of a sampled channel
 # Slack on the spectral-norm-at-most-one test; absorbs SVD rounding for
 # channels that are lossless along one eigen-channel.
 PHYSICALITY_SLACK = 1e-12
@@ -210,23 +209,24 @@ class ChannelMatrix:
     ----------
     matrix : ndarray
         The raw ``n_rx x n_tx`` complex channel.
-    u, v : ndarray or None
-        Unitary SVD factors (``u`` is ``n_rx x n_rx``, ``v`` is ``n_tx x n_tx``),
-        or None on a sampled channel (``decompose_channel(matrix)`` gives them).
+    u, v : ndarray
+        Unitary SVD factors (``u`` is ``n_rx x n_rx``, ``v`` is ``n_tx x n_tx``).
     singular_values : ndarray
         Descending singular values ``sqrt(eta_k)``.
     rank : int or ndarray
         Count of singular values above ``RANK_TOL`` times the largest.
+
+    A sampled channel, ``ChannelMatrix(matrix)``, carries only its matrix.
     """
 
     matrix: np.ndarray
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-    rank: int | np.ndarray
+    u: np.ndarray | None = None
+    singular_values: np.ndarray | None = None
+    v: np.ndarray | None = None
+    rank: int | np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.rank)  # one channel's rank is 0-d: it has no length
+        return len(self.matrix[..., 0, 0])  # one channel's entry is 0-d: it has no length
 
     def __getitem__(self, index) -> "ChannelMatrix":
         parts = (getattr(self, f.name) for f in fields(self))
@@ -248,14 +248,28 @@ class ChannelMatrix:
     @property
     def spectral_norm(self):
         """The largest singular value; 0 for a channel without any."""
+        if self.singular_values is None:
+            return decompose_channel(self.matrix).spectral_norm
         s = self.singular_values
         # [()] turns one channel's 0-d result into a number
         return s[..., 0][()] if s.shape[-1] else np.zeros(s.shape[:-1])[()]
 
     @property
     def is_physical(self):
-        """True where the channel can act passively (spectral norm <= 1)."""
-        return self.spectral_norm <= 1.0 + PHYSICALITY_SLACK
+        """True where the channel can act passively (spectral norm <= 1).
+
+        A sampled channel is certified passive where ``trace(H H†) <= 1``:
+        ``‖H‖₂ <= ‖H‖_F``, so its rounded norm is within 1 + O(n^2 eps), far
+        inside ``PHYSICALITY_SLACK``.  Only uncertified members are factored.
+        """
+        if self.singular_values is not None:
+            return self.spectral_norm <= 1.0 + PHYSICALITY_SLACK
+        physical = np.asarray(self.trace_power <= 1.0)
+        # a non-finite draw is never certified: decompose_channel raises on it
+        open_ = ~physical
+        if open_.any():
+            physical[open_] = decompose_channel(self.matrix[open_]).is_physical
+        return physical[()]
 
     @property
     def trace_power(self):
@@ -433,20 +447,6 @@ def _fading_draws(spec: FadingSpec, paths, attempt: int) -> np.ndarray:
     return h_r @ h_t
 
 
-def _sampled_channels(h: np.ndarray) -> ChannelMatrix:
-    """Raw draws with their checked ``compute_uv=False`` singular values and rank."""
-    s = np.linalg.svd(h, compute_uv=False)
-    cm = ChannelMatrix(h, None, s, None, np.sum(s > RANK_TOL * s[..., :1], axis=-1))
-    power = cm.trace_power
-    # written as "not within" so that a NaN fails
-    ok = np.isfinite(h).all(axis=(-2, -1)) & (s[..., -1] >= 0.0)
-    ok &= (s[..., :-1] >= s[..., 1:]).all(axis=-1)
-    ok &= np.abs(np.sum(cm.eta, axis=-1) - power) <= FROBENIUS_TOL * power
-    if not ok.all():
-        raise ValueError("fading draw failed the checks of its singular values")
-    return cm
-
-
 def sample_double_rayleigh(spec: FadingSpec, draws):
     """Draw one double-Rayleigh channel, or a stack, each deterministic in
     ``(seed, draw)`` alone.
@@ -455,9 +455,10 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
     entries with per-entry variance ``sqrt(reference_rtt / n_tx)``, making the
     ensemble mean of ``trace(H H†)`` equal ``n_tag * n_rx * reference_rtt``.
 
-    Samples whose spectral norm exceeds one are non-physical.  Each rejected
-    draw alone is drawn again at the next attempt from its own substream, so
-    a channel never depends on the other draws of the stack.
+    Samples whose spectral norm exceeds one (:attr:`ChannelMatrix.is_physical`)
+    are non-physical.  Each rejected draw alone is drawn again at the next
+    attempt from its own substream, so a channel never depends on the other
+    draws of the stack.
 
     Parameters
     ----------
@@ -470,33 +471,29 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
     -------
     ``(ChannelMatrix, rejections)``: for one draw its channel and how many
     non-physical samples it rejected (an int); for a sequence the stack in
-    ``draws`` order and an array of rejection counts.  The channels carry no
-    ``u``/``v``; ``decompose_channel(cm.matrix)`` gives them.
+    ``draws`` order and an array of rejection counts.  The channels carry only
+    their matrix; ``decompose_channel(cm.matrix)`` factors them.
 
     Raises
     ------
     NonPhysicalChannelError
         When a draw is non-physical ``MAX_RESAMPLES`` times in a row.
     ValueError
-        If a draw has non-finite entries, or singular values that are negative,
-        unordered or miss ``sum_k s_k**2 = trace(H H†)`` by ``FROBENIUS_TOL``.
+        If a draw is non-finite or fails a check of :func:`decompose_channel`.
     """
     one = np.isscalar(draws)
     paths = [(draws,)] if one else [
         d if isinstance(d, tuple) else (d,) if np.isscalar(d) else tuple(d) for d in draws
     ]
+    h = np.empty((len(paths), spec.n_rx, spec.n_tx), dtype=complex)
     rejections = np.zeros(len(paths), dtype=int)
     pending = np.arange(len(paths))
     for attempt in range(MAX_RESAMPLES):
-        drawn = _sampled_channels(_fading_draws(spec, [paths[i] for i in pending], attempt))
-        if attempt == 0:
-            h, s, rank = drawn.matrix, drawn.singular_values, drawn.rank
-        else:
-            h[pending], s[pending] = drawn.matrix, drawn.singular_values
-            rank[pending] = drawn.rank
-        pending = pending[~drawn.is_physical]
+        drawn = _fading_draws(spec, [paths[i] for i in pending], attempt)
+        h[pending] = drawn
+        pending = pending[~ChannelMatrix(drawn).is_physical]
         if not pending.size:
-            channels = ChannelMatrix(h, None, s, None, rank)
+            channels = ChannelMatrix(h)
             return (channels[0], int(rejections[0])) if one else (channels, rejections)
         rejections[pending] += 1
     raise NonPhysicalChannelError(

@@ -179,7 +179,7 @@ def _path_list(factory, fields):
                 if field not in entry:
                     raise ConfigError(f"{where}: missing required key '{field}'")
                 numbers.append(_number(f"{where}.{field}", float, entry[field]))
-            paths.append(factory(*numbers))
+            paths.append(_spec(factory, *numbers))
         return paths
 
     return convert
@@ -341,6 +341,8 @@ def cmd_decompose(args) -> int:
 def cmd_ber(args) -> int:
     cfg = _merge_config(args, _BER_KEYS)
     eta = cfg["eta"]
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"key 'eta' must lie in [0, 1], got {eta}")
     n_signal = cfg["ns"]
     n_thermal = cfg["nz"]
     m_min = cfg["m_min"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qbclink import channel
 from qbclink import (
+    ChannelMatrix,
     ClutterPath,
     DegenerateLinkError,
     FadingSpec,
@@ -25,6 +26,7 @@ from qbclink import (
     steering_vector,
     substream,
 )
+from qbclink.channel import PHYSICALITY_SLACK
 
 # frozen ahead of the build with mpmath at 50 digits:
 # 100^2 * c^2 * 0.01 / (16 pi (2 pi 5e9)^2 * 10^2 * 10^2)
@@ -446,7 +448,7 @@ class TestDoubleRayleigh:
     def test_single_tag_antenna_is_rank_one(self):
         spec = FadingSpec(n_tx=4, n_rx=4, n_tag=1, reference_rtt=1e-5, seed=1)
         for i in range(50):
-            assert sample_double_rayleigh(spec, i)[0].rank == 1
+            assert decompose_channel(sample_double_rayleigh(spec, i)[0].matrix).rank == 1
 
     def test_rank_equals_tag_count(self):
         # the rank law: 10^3 draws across tag counts, zero failures allowed
@@ -455,7 +457,7 @@ class TestDoubleRayleigh:
         for i in range(1000):
             n_tag = int(rng.integers(1, 9))
             spec = FadingSpec(8, 8, n_tag, 1e-5, seed=500)
-            if sample_double_rayleigh(spec, i)[0].rank != n_tag:
+            if decompose_channel(sample_double_rayleigh(spec, i)[0].matrix).rank != n_tag:
                 failures += 1
         assert failures == 0
 
@@ -496,8 +498,7 @@ class TestDoubleRayleigh:
             h, attempts = _reference_draw(spec, draw)
             assert attempts == rej
             assert np.array_equal(cm.matrix, h)
-            for name in ("matrix", "singular_values", "rank"):
-                assert np.array_equal(getattr(stack[i], name), getattr(cm, name))
+            assert np.array_equal(stack[i].matrix, h)
         assert np.all(stack.is_physical)
 
     @pytest.mark.parametrize(
@@ -519,18 +520,33 @@ class TestDoubleRayleigh:
         "spec", [FadingSpec(4, 4, 2, 1e-5, seed=3), FadingSpec(8, 8, 8, 0.04, seed=5)]
     )
     def test_singular_values_agree_with_the_full_svd(self, spec):
+        # every accepted draw is passive by its full SVD; the sampled channel
+        # carries its matrix alone
         stack, _ = sample_double_rayleigh(spec, [(spec.n_tag, t) for t in range(200)])
-        assert stack.u is None and stack.v is None
+        for name in ("u", "v", "singular_values", "rank"):
+            assert getattr(stack, name) is None, name
         full = decompose_channel(stack.matrix)
-        # Weyl: a backward-stable SVD moves each value by ~n eps times the norm
-        bound = max(spec.n_rx, spec.n_tx) * np.finfo(float).eps * full.spectral_norm
-        gap = np.abs(stack.singular_values - full.singular_values)
-        assert np.all(gap <= bound[:, None])
-        assert np.array_equal(stack.rank, full.rank)
+        assert np.all(full.spectral_norm <= 1.0 + PHYSICALITY_SLACK)
+
+    def test_certified_and_factored_draws_match_the_full_svd_reference(self, monkeypatch):
+        # at this power a block mixes certified draws with uncertified ones
+        # that the SVD accepts
+        spec = FadingSpec(8, 8, 8, 0.01, seed=5)
+        draws = [(8, t) for t in range(200)]
+        factored = _recording_decompose(monkeypatch)
+        stack, rejections = sample_double_rayleigh(spec, draws)
+        uncertified = stack.trace_power > 1.0
+        assert np.count_nonzero(uncertified) == 3
+        assert np.array_equal(np.concatenate(factored), stack.matrix[uncertified])
+        for i, draw in enumerate(draws):
+            h, attempts = _reference_draw(spec, draw)
+            assert rejections[i] == attempts
+            assert np.array_equal(stack[i].matrix, h)
+        assert np.all(decompose_channel(stack.matrix).spectral_norm <= 1.0 + PHYSICALITY_SLACK)
 
     def test_no_draws_give_an_empty_stack(self):
         stack, rejections = sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, seed=3), [])
-        assert stack.matrix.shape == (0, 4, 4) and stack.singular_values.shape == (0, 4)
+        assert stack.matrix.shape == (0, 4, 4)
         assert rejections.shape == (0,)
 
     def test_exhausted_resamples_raise(self):
@@ -549,38 +565,69 @@ class TestDoubleRayleigh:
             FadingSpec(2, 2, 2, 1e-5, -1)
 
 
+def _recording_decompose(monkeypatch):
+    """Patch the channel module's ``decompose_channel`` to record each stack it
+    factors; returns the list of recorded stacks."""
+    factored = []
+    real = channel.decompose_channel
+
+    def recording(h):
+        factored.append(np.asarray(h))
+        return real(h)
+
+    monkeypatch.setattr(channel, "decompose_channel", recording)
+    return factored
+
+
+# diagonal 2x2 channels at the edges of the certificate trace(H H†) <= 1
+EDGE_CHANNELS = np.array(
+    [
+        np.diag([1.0, 0.0]),  # trace exactly 1: certified
+        np.diag([1.0, 1e-7]),  # trace 1 + 1e-14: uncertified, norm exactly 1
+        np.diag([1.0 + 1e-13, 0.0]),  # physical only through the slack
+        np.diag([1.0 + 1e-11, 0.0]),  # non-physical
+        np.zeros((2, 2)),
+    ],
+    dtype=complex,
+)
+
+
+class TestPassivityCertificate:
+    """A sampled channel (matrix only) must be judged as its full SVD judges it,
+    factoring only the members that ``trace(H H†) <= 1`` leaves open."""
+
+    def test_decides_as_the_svd_does(self, monkeypatch):
+        expected = decompose_channel(EDGE_CHANNELS).is_physical
+        assert list(expected) == [True, True, True, False, True]
+        factored = _recording_decompose(monkeypatch)
+        physical = ChannelMatrix(EDGE_CHANNELS).is_physical
+        assert np.array_equal(physical, expected)
+        assert len(factored) == 1 and np.array_equal(factored[0], EDGE_CHANNELS[1:4])
+        for h, want in zip(EDGE_CHANNELS, expected):
+            assert ChannelMatrix(h).is_physical == want
+
+    def test_spectral_norm_comes_from_the_full_svd(self):
+        sampled = ChannelMatrix(EDGE_CHANNELS)
+        full = decompose_channel(EDGE_CHANNELS)
+        assert np.array_equal(sampled.spectral_norm, full.spectral_norm)
+        assert sampled[3].spectral_norm == full[3].spectral_norm
+        assert len(sampled) == len(EDGE_CHANNELS)
+        with pytest.raises(TypeError):
+            len(sampled[0])
+
+    def test_non_finite_member_raises(self):
+        h = EDGE_CHANNELS.copy()
+        h[4, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            ChannelMatrix(h).is_physical
+
+
 REAL_SVD = np.linalg.svd
 CHECKED_SPEC = FadingSpec(4, 4, 4, 1e-5, seed=3)
 
 
-def _with_member(fix):
-    """An ``svd`` whose values for member 1 of a block go through ``fix``."""
-
-    def svd(h, *args, **kwargs):
-        s = REAL_SVD(h, *args, **kwargs).copy()
-        s[1] = fix(s[1])
-        return s
-
-    return svd
-
-
 class TestSampledSingularValueChecks:
-    """Each check of the sampler, alone, must reject one bad member of a block."""
-
-    @pytest.mark.parametrize(
-        "fix",
-        [
-            lambda s: np.where(np.arange(s.size) == 2, np.nan, s),
-            lambda s: s[::-1],  # ascending: same sum of squares
-            lambda s: s * np.array([1.0, 1.0, 1.0, -1.0]),  # negative, still descending
-            lambda s: s * (1.0 + 1e-9),  # ordered, but misses trace(H H†)
-        ],
-        ids=["nan", "ascending", "negative", "frobenius"],
-    )
-    def test_bad_singular_values_raise(self, monkeypatch, fix):
-        monkeypatch.setattr(np.linalg, "svd", _with_member(fix))
-        with pytest.raises(ValueError, match="checks of its singular values"):
-            sample_double_rayleigh(CHECKED_SPEC, range(4))
+    """A non-finite member of a block must raise, however the SVD behaves."""
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("clean_svd", [False, True], ids=["svd", "clean-svd"])
@@ -596,8 +643,7 @@ class TestSampledSingularValueChecks:
 
         monkeypatch.setattr(channel, "_fading_draws", draws)
         if clean_svd:
-            # the values of the clean draws: only the entry check can see the bad one
+            # the factors of the clean draws: only the entry check can see the bad one
             monkeypatch.setattr(np.linalg, "svd", lambda h, **kw: REAL_SVD(clean[-1], **kw))
-        match = "checks of its singular values" if clean_svd or bad == np.inf else None
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="non-finite entries"):
             sample_double_rayleigh(CHECKED_SPEC, range(4))

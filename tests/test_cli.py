@@ -314,6 +314,20 @@ class TestChannelCommand:
         assert code == 2
         assert "key 'paths[1].phase'" in err
 
+    def test_out_of_range_path_field_is_validation_failure(self, capsys, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(
+            "kind = two_path\nspacing = 0.5\n"
+            "paths[0].eta = 2.0\npaths[0].phase = 0\n"
+            "paths[0].omega_r = 0\npaths[0].omega_t = 0\n"
+            "paths[1].eta = 0.01\npaths[1].phase = 0\n"
+            "paths[1].omega_r = 1\npaths[1].omega_t = 1\n"
+        )
+        code, out, err = run(capsys, ["channel", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: path transmissivity must lie in [0, 1], got 2.0\n"
+
 
 class TestOracleCommand:
     def test_oracle_passes_and_reports(self, capsys):
@@ -410,8 +424,11 @@ def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, case):
 
 
 FADING_4X4 = ["channel", "--channel", "fading", "--nt", "4", "--nr", "4"]
-# a spec's own ValueError, its exact message, and the command's first work
+# a spec's own ValueError (or a key out of its range), its exact message, and
+# the command's first work
 SPEC_ERRORS = {
+    "ber-eta": (["ber", "--eta", "2"], "key 'eta' must lie in [0, 1], got 2.0",
+                "qbclink.qi.siso_snr"),
     "oracle-ns": (["oracle", "--ns", "-1"], "n_signal must be positive, got -1.0",
                   "qbclink.gaussian.run_oracle"),
     "ber-ns": (["ber", "--ns", "-1"], "n_signal must be positive, got -1.0",
