@@ -240,10 +240,16 @@ class ChannelMatrix:
     def n_tx(self) -> int:
         return self.matrix.shape[-1]
 
+    def _factored(self) -> np.ndarray:
+        if self.singular_values is None:  # a sampled channel
+            raise ValueError("this channel carries only its matrix; "
+                             "decompose_channel(cm.matrix) factors it")
+        return self.singular_values
+
     @property
     def eta(self) -> np.ndarray:
         """Eigen-channel transmissivities, one per singular value."""
-        return self.singular_values**2
+        return self._factored() ** 2
 
     @property
     def spectral_norm(self):
@@ -280,7 +286,7 @@ class ChannelMatrix:
     def port_eta(self) -> np.ndarray:
         """``eta_k`` of each receive port, clipped to [0, 1] and zero beyond the
         singular values; not cut at the rank."""
-        s = self.singular_values
+        s = self._factored()
         eta = np.zeros(s.shape[:-1] + (self.n_rx,))
         eta[..., : s.shape[-1]] = np.clip(self.eta, 0.0, 1.0)
         return eta
@@ -293,7 +299,7 @@ class ChannelMatrix:
 
     def reconstruction_residual(self):
         """Max-entry deviation of ``U S V†`` from the stored matrix."""
-        s = self.singular_values
+        s = self._factored()
         k = s.shape[-1]
         rebuilt = (self.u[..., :k] * s[..., None, :]) @ _dagger(self.v[..., :k])
         return np.max(np.abs(rebuilt - self.matrix), axis=(-2, -1))

@@ -331,7 +331,7 @@ def cmd_decompose(args) -> int:
     rebuilt = mesh.reconstruct(result)
     residual = float(np.max(np.abs(rebuilt - unitary)))
     print(f"residual,{residual:.17g}")
-    print(f"elements,{len(result.elements)}")
+    print(f"elements,{len(result.ports)}")
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(mesh.mesh_to_text(result))

@@ -18,6 +18,7 @@ phases last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,13 @@ from .errors import NonUnitaryInputError
 INPUT_UNITARITY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-10
 _TWO_PI = 2.0 * np.pi
+_ANGLE_SLACK = 1e-12  # mixing angles may overshoot [0, pi/2] by this much
+
+
+def _block(theta: float, phi: float) -> np.ndarray:
+    """``T(theta, phi)``; ``math`` scalars are bit-equal to numpy's here."""
+    c, s, ph = math.cos(theta), math.sin(theta), complex(math.cos(phi), math.sin(phi))
+    return np.array([[ph * c, -s], [ph * s, c]])
 
 
 @dataclass(frozen=True)
@@ -40,42 +48,57 @@ class MeshElement:
     def __post_init__(self):
         if self.port < 0:
             raise ValueError(f"port must be non-negative, got {self.port}")
-        if not -1e-12 <= self.mixing_angle <= np.pi / 2 + 1e-12:
+        if not -_ANGLE_SLACK <= self.mixing_angle <= np.pi / 2 + _ANGLE_SLACK:
             raise ValueError(
                 f"mixing angle must lie in [0, pi/2], got {self.mixing_angle}"
             )
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
     def block(self) -> np.ndarray:
         """The 2x2 coupler matrix in the fixed convention."""
-        c = np.cos(self.mixing_angle)
-        s = np.sin(self.mixing_angle)
-        ph = np.exp(1j * self.phase)
-        return np.array([[ph * c, -s], [ph * s, c]])
+        return _block(self.mixing_angle, self.phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamSplitterMesh:
-    """Ordered coupler list plus output phases realizing one unitary."""
+    """Couplers in application order plus output phases realizing one unitary;
+    coupler ``k`` is ``MeshElement(ports[k], mixing_angles[k], phases[k])``."""
 
     dimension: int
-    elements: tuple
+    ports: np.ndarray
+    mixing_angles: np.ndarray
+    phases: np.ndarray
     output_phases: np.ndarray
 
     def __post_init__(self):
-        expected = self.dimension * (self.dimension - 1) // 2
-        if len(self.elements) != expected:
+        n = self.dimension
+        ports = np.asarray(self.ports)
+        if ports.size and ports.dtype.kind not in "iu":
+            raise ValueError(f"ports must be integers, got {ports.dtype}")
+        object.__setattr__(self, "ports", np.asarray(ports, dtype=int))
+        for name in ("mixing_angles", "phases", "output_phases"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        expected = n * (n - 1) // 2
+        if not self.ports.shape == self.mixing_angles.shape == self.phases.shape == (expected,):
             raise ValueError(
-                f"a {self.dimension}x{self.dimension} mesh needs {expected} "
-                f"elements, got {len(self.elements)}"
+                f"a {n}x{n} mesh needs {expected} elements, got {len(self.ports)}"
             )
-        if len(self.output_phases) != self.dimension:
+        if self.output_phases.shape != (n,):
             raise ValueError("need one output phase per port")
-        for el in self.elements:
-            if el.port + 1 >= self.dimension:
-                raise ValueError(
-                    f"element on ports ({el.port}, {el.port + 1}) does not fit "
-                    f"a dimension-{self.dimension} mesh"
-                )
+        if expected and not 0 <= self.ports.min() <= self.ports.max() < n - 1:
+            raise ValueError(f"a dimension-{n} mesh has couplers on ports 0..{n - 2} only")
+        a = self.mixing_angles
+        if not np.all((a >= -_ANGLE_SLACK) & (a <= np.pi / 2 + _ANGLE_SLACK)):
+            raise ValueError("mixing angles must lie in [0, pi/2]")
+        if not (np.isfinite(self.phases).all() and np.isfinite(self.output_phases).all()):
+            raise ValueError("coupler and output phases must be finite")
+
+    @property
+    def elements(self) -> tuple:
+        """The couplers as ``MeshElement`` objects, built on each access."""
+        return tuple(map(MeshElement, self.ports.tolist(),
+                         self.mixing_angles.tolist(), self.phases.tolist()))
 
 
 def element_unitary(element: MeshElement, dimension: int) -> np.ndarray:
@@ -89,44 +112,43 @@ def element_unitary(element: MeshElement, dimension: int) -> np.ndarray:
 def reconstruct(mesh: BeamSplitterMesh) -> np.ndarray:
     """Multiply out a mesh: elements in application order, phases last.
 
-    Each coupler mixes only its two rows, so the product costs O(N^3)
-    rather than the O(N^5) of multiplying full embeddings.
+    Couplers on disjoint port pairs commute exactly, so each coupler joins
+    the first layer after every earlier coupler sharing one of its ports, and
+    one batched product applies a whole layer.  Each row sees the same
+    operations in the same order as in a coupler-by-coupler product, so the
+    result is bit-identical to it, at O(N^3) cost.
     """
+    depth = [0] * (mesh.dimension + 1)
+    layer = []
+    for p in mesh.ports.tolist():
+        d = depth[p] if depth[p] > depth[p + 1] else depth[p + 1]
+        depth[p] = depth[p + 1] = d + 1
+        layer.append(d)
+    layer = np.array(layer, dtype=int)
+    order = layer.argsort(kind="stable")
+    theta, ph = mesh.mixing_angles[order], np.exp(1j * mesh.phases[order])
+    c, s = np.cos(theta), np.sin(theta)
+    blocks = np.empty((len(order), 2, 2), dtype=complex)
+    blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = ph * c, -s, ph * s, c
+    rows = mesh.ports[order, None] + np.arange(2)
     u = np.eye(mesh.dimension, dtype=complex)
-    for el in mesh.elements:
-        rows = slice(el.port, el.port + 2)
-        u[rows] = el.block() @ u[rows]
+    bounds = [0, *np.bincount(layer, minlength=1).cumsum().tolist()]
+    for start, stop in zip(bounds, bounds[1:]):
+        u[rows[start:stop]] = blocks[start:stop] @ u[rows[start:stop]]
     return np.exp(1j * mesh.output_phases)[:, None] * u
 
 
-def _solve_right(a: complex, b: complex):
-    """Angles so that right-multiplying columns (c, c+1) by T† nulls ``a``.
-
-    For row entries ``(a, b)`` the mixed entry is
-    ``a e^{-i phi} cos(theta) - b sin(theta)``.
-    """
-    if abs(a) == 0.0:
+def _solve(x: complex, y: complex):
+    """Angles of the coupler whose mix of ``(x, y)`` nulls ``x``: its entry
+    ``x e^{-i phi} cos(theta) - y sin(theta)`` vanishes."""
+    ax, ay = abs(x), abs(y)
+    if ax == 0.0:
         return 0.0, 0.0
-    if abs(b) == 0.0:
+    if ay == 0.0:
         return np.pi / 2, 0.0
-    theta = np.arctan2(abs(a), abs(b))
-    phi = np.angle(a) - np.angle(b)
-    return theta, phi % _TWO_PI
-
-
-def _solve_left(a: complex, b: complex):
-    """Angles so that left-multiplying rows (r-1, r) by T nulls ``b``.
-
-    For column entries ``(a, b)`` the mixed entry is
-    ``e^{i phi} sin(theta) a + cos(theta) b``.
-    """
-    if abs(b) == 0.0:
-        return 0.0, 0.0
-    if abs(a) == 0.0:
-        return np.pi / 2, 0.0
-    theta = np.arctan2(abs(b), abs(a))
-    phi = np.angle(-b) - np.angle(a)
-    return theta, phi % _TWO_PI
+    # numpy's arctan2 is not math.atan2 bit for bit; one call for all three
+    theta, arg_x, arg_y = np.arctan2((ax, x.imag, y.imag), (ay, x.real, y.real)).tolist()
+    return theta, (arg_x - arg_y) % _TWO_PI
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -160,52 +182,48 @@ def clements_decompose(u: np.ndarray) -> BeamSplitterMesh:
 
     n = u.shape[0]
     work = u.copy()
-    right_elements = []  # canonical couplers T; applied to work as T†
-    left_ops = []  # (port, theta, phi) row mixes in sweep order
+    # (port, theta, phi) of the couplers in application order (the column
+    # mixes, applied to work as T†, then the commuted row mixes) and of the
+    # row mixes T in sweep order
+    couplers, left = [], []
 
     for i in range(1, n):
         if i % 2 == 1:
             for j in range(i):
-                row = n - 1 - j
                 col = i - 1 - j
-                theta, phi = _solve_right(work[row, col], work[row, col + 1])
-                el = MeshElement(col, theta, phi)
-                work[:, col : col + 2] = work[:, col : col + 2] @ el.block().conj().T
-                right_elements.append(el)
+                a, b = work[n - 1 - j, col : col + 2].tolist()
+                theta, phi = _solve(a, b)
+                work[:, col : col + 2] = work[:, col : col + 2] @ _block(theta, phi).conj().T
+                couplers.append((col, theta, phi))
         else:
             for j in range(1, i + 1):
                 row = n + j - i - 1
-                col = j - 1
-                theta, phi = _solve_left(work[row - 1, col], work[row, col])
-                el = MeshElement(row - 1, theta, phi)
-                work[row - 1 : row + 1, :] = el.block() @ work[row - 1 : row + 1, :]
-                left_ops.append(el)
+                a, b = work[row - 1 : row + 1, j - 1].tolist()
+                # T puts e^{i phi} sin(theta) a + cos(theta) b in row r: it nulls b
+                # with the angles that null -b against a
+                theta, phi = _solve(-b, a)
+                work[row - 1 : row + 1] = _block(theta, phi) @ work[row - 1 : row + 1]
+                left.append((row - 1, theta, phi))
 
     # work is now diagonal: L_q ... L_1 U T_1† ... T_p† = D.  Rebuild
     # U = (L_1† ... L_q†) D (T_p ... T_1) and push D left through each L†:
     # L(theta, phi)† diag(e^{i p1}, e^{i p2})
     #   = diag(e^{i(p2 - phi + pi)}, e^{i p2}) T(theta, p1 - p2 + pi).
-    phases = np.angle(np.diag(work))
-    commuted = []
-    for el in reversed(left_ops):
-        p = el.port
+    phases = np.angle(np.diag(work)).tolist()
+    for p, theta, phi in reversed(left):
         psi1, psi2 = phases[p], phases[p + 1]
-        if el.mixing_angle == 0.0:
+        if theta == 0.0:
             # uncoupled ports: L† D is already diagonal, keep the clean gauge
-            commuted.append(MeshElement(p, 0.0, 0.0))
-            phases[p] = psi1 - el.phase
+            couplers.append((p, 0.0, 0.0))
+            phases[p] = psi1 - phi
         else:
-            commuted.append(
-                MeshElement(p, el.mixing_angle, (psi1 - psi2 + np.pi) % _TWO_PI)
-            )
-            phases[p] = psi2 - el.phase + np.pi
+            couplers.append((p, theta, (psi1 - psi2 + np.pi) % _TWO_PI))
+            phases[p] = psi2 - phi + np.pi
             phases[p + 1] = psi2
 
-    mesh = BeamSplitterMesh(
-        dimension=n,
-        elements=tuple(right_elements + commuted),
-        output_phases=np.asarray(phases) % _TWO_PI,
-    )
+    ports, angles, coupler_phases = zip(*couplers) if couplers else ((), (), ())
+    mesh = BeamSplitterMesh(n, np.array(ports, dtype=int), angles, coupler_phases,
+                            np.array(phases) % _TWO_PI)
     # The mesh is exactly unitary, so it can only match the input up to the
     # input's own unitarity residual; scale the self-check accordingly.
     gap = float(np.max(np.abs(reconstruct(mesh) - u)))
@@ -221,9 +239,9 @@ def mesh_to_text(mesh: BeamSplitterMesh) -> str:
     """Serialize: dimension line, one ``port theta phi`` line per element,
     then a line of output phases."""
     lines = [str(mesh.dimension)]
-    for el in mesh.elements:
-        lines.append(f"{el.port} {el.mixing_angle:.17g} {el.phase:.17g}")
-    lines.append(" ".join(f"{p:.17g}" for p in mesh.output_phases))
+    lines += [f"{p} {theta:.17g} {phi:.17g}" for p, theta, phi in zip(
+        mesh.ports.tolist(), mesh.mixing_angles.tolist(), mesh.phases.tolist())]
+    lines.append(" ".join(f"{p:.17g}" for p in mesh.output_phases.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -238,9 +256,11 @@ def mesh_from_text(text: str) -> BeamSplitterMesh:
             f"mesh of dimension {n} needs {expected} element lines plus a "
             f"phase line, got {len(lines) - 1} lines"
         )
-    elements = []
+    ports, angles, phases = [], [], []
     for ln in lines[1 : 1 + expected]:
         port, theta, phi = ln.split()
-        elements.append(MeshElement(int(port), float(theta), float(phi)))
-    phases = np.array([float(tok) for tok in lines[-1].split()])
-    return BeamSplitterMesh(dimension=n, elements=tuple(elements), output_phases=phases)
+        ports.append(int(port))
+        angles.append(float(theta))
+        phases.append(float(phi))
+    output_phases = [float(tok) for tok in lines[-1].split()]
+    return BeamSplitterMesh(n, np.array(ports, dtype=int), angles, phases, output_phases)

@@ -615,6 +615,21 @@ class TestPassivityCertificate:
         with pytest.raises(TypeError):
             len(sampled[0])
 
+    @pytest.mark.parametrize("quantity", [
+        lambda cm: cm.eta,
+        lambda cm: cm.port_eta,
+        lambda cm: cm.loss_coefficients,
+        lambda cm: cm.reconstruction_residual(),
+    ], ids=["eta", "port_eta", "loss_coefficients", "reconstruction_residual"])
+    def test_factor_quantities_name_decompose_channel(self, quantity):
+        sampled = sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 0), 0)[0]
+        message = ("this channel carries only its matrix; "
+                   "decompose_channel(cm.matrix) factors it")
+        with pytest.raises(ValueError) as excinfo:
+            quantity(sampled)
+        assert str(excinfo.value) == message
+        assert np.all(np.isfinite(quantity(decompose_channel(sampled.matrix))))
+
     def test_non_finite_member_raises(self):
         h = EDGE_CHANNELS.copy()
         h[4, 1, 1] = np.nan

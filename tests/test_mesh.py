@@ -45,12 +45,32 @@ def test_svd_factor_of_random_channel_decomposes():
 
 def test_round_trip_over_random_unitaries():
     rng = np.random.default_rng(42)
-    for n in range(2, 17):
+    for n in [*range(2, 17), 32, 64]:  # up to the benchmark's sizes
         for _ in range(4):
             u = haar_unitary(n, rng)
             mesh = clements_decompose(u)
             assert len(mesh.elements) == n * (n - 1) // 2
             assert np.max(np.abs(reconstruct(mesh) - u)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layered_reconstruct_equals_coupler_by_coupler_product(seed):
+    # random port sequences, not in Clements order: repeated and adjacent
+    # ports force couplers into later layers
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    m = n * (n - 1) // 2
+    mesh = BeamSplitterMesh(
+        dimension=n,
+        ports=rng.integers(0, n - 1, size=m),
+        mixing_angles=rng.uniform(0.0, np.pi / 2, size=m),
+        phases=rng.uniform(0.0, 2.0 * np.pi, size=m),
+        output_phases=rng.uniform(0.0, 2.0 * np.pi, size=n),
+    )
+    u = np.eye(n, dtype=complex)
+    for el in mesh.elements:
+        u[el.port : el.port + 2] = el.block() @ u[el.port : el.port + 2]
+    assert np.array_equal(reconstruct(mesh), np.exp(1j * mesh.output_phases)[:, None] * u)
 
 
 def test_canonical_parameter_ranges():
@@ -74,17 +94,27 @@ def test_intermediate_products_stay_unitary():
 
 def test_element_count_is_enforced():
     with pytest.raises(ValueError):
-        BeamSplitterMesh(dimension=3, elements=(), output_phases=np.zeros(3))
+        BeamSplitterMesh(dimension=3, ports=[], mixing_angles=[], phases=[],
+                         output_phases=np.zeros(3))
 
 
 def test_one_port_empty_mesh():
-    mesh = BeamSplitterMesh(dimension=1, elements=(), output_phases=np.zeros(1))
+    mesh = BeamSplitterMesh(dimension=1, ports=[], mixing_angles=[], phases=[],
+                            output_phases=np.zeros(1))
+    assert mesh.elements == ()
     assert np.allclose(reconstruct(mesh), np.eye(1))
 
 
+@pytest.mark.parametrize("ports", [[1], [-1], [0.0]])
+def test_ports_must_be_integers_that_fit(ports):
+    with pytest.raises(ValueError):
+        BeamSplitterMesh(2, ports, [0.5], [0.5], [0.0, 0.0])
+
+
 def test_half_pi_element_swaps_ports():
-    el = MeshElement(port=0, mixing_angle=np.pi / 2, phase=0.4)
-    mesh = BeamSplitterMesh(dimension=2, elements=(el,), output_phases=np.zeros(2))
+    mesh = BeamSplitterMesh(dimension=2, ports=[0], mixing_angles=[np.pi / 2],
+                            phases=[0.4], output_phases=np.zeros(2))
+    assert mesh.elements == (MeshElement(port=0, mixing_angle=np.pi / 2, phase=0.4),)
     u = reconstruct(mesh)
     assert abs(u[0, 0]) < 1e-15 and abs(u[1, 1]) < 1e-15
     assert abs(abs(u[0, 1]) - 1.0) < 1e-15 and abs(abs(u[1, 0]) - 1.0) < 1e-15
@@ -120,6 +150,23 @@ def test_serialization_round_trip_exact():
     for a, b in zip(clone.elements, mesh.elements):
         assert a == b
     assert np.array_equal(reconstruct(clone), reconstruct(mesh))
+
+
+@pytest.mark.parametrize("theta, phi, out", [
+    (0.5, np.nan, 0.0),
+    (0.5, -np.inf, 0.0),
+    (np.nan, 0.5, 0.0),
+    (0.5, 0.5, np.inf),
+    (0.5, 0.5, np.nan),
+])
+def test_non_finite_angles_and_phases_are_rejected(theta, phi, out):
+    with pytest.raises(ValueError):
+        mesh_from_text(f"2\n0 {theta!r} {phi!r}\n0 {out!r}\n")
+    with pytest.raises(ValueError):
+        BeamSplitterMesh(2, [0], [theta], [phi], [0.0, out])
+    if np.isfinite(out):
+        with pytest.raises(ValueError):
+            MeshElement(0, theta, phi)
 
 
 def test_serialization_rejects_truncated_file():
