@@ -250,7 +250,7 @@ _ORACLE_KEYS = (
     Key("seed", _seed, 0, flag="--seed"),
     Key("ns", float, 0.01, flag="--ns"),
     Key("nz", float, 100.0, flag="--nz"),
-    Key("max_n", _count, 8),
+    Key("max_n", _integer(1, 64, "lie in [1, 64]"), 8),
 )
 
 

@@ -9,9 +9,11 @@ noise map ``B`` feeding in independent thermal modes.
 Physical maps preserve the output commutators, which pins ``A A† + B B† = I``;
 :func:`propagate` enforces this before mapping moments.
 
-:func:`run_oracle_checks` compares one channel's propagated moments with the
-closed forms; :func:`run_oracle` repeats it over the seeded random channels of
-:func:`oracle_channel` and names the worst trial.
+States, maps and channels may be stacks on leading axes, each member getting
+the bits it gets alone.  :func:`run_oracle_checks` compares propagated moments
+with the closed forms; :func:`run_oracle` runs it, batched per channel size, on
+the channels of :func:`oracle_channel` (trial ``i`` is ``oracle_channel(seed,
+i, max_n)``) and names the worst trial.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, decompose_channel
+from .channel import ChannelMatrix, _dagger, decompose_channel
 from .errors import NonPhysicalTransformError
 from .qi import QiParams, _square_matrix, pmimo_interference, tmss_moments
 from .rng import substream
 
 COMMUTATOR_TOL = 1e-9
 PHYSICALITY_TOL = 1e-9
+ORACLE_BLOCK = 64  # oracle trials checked together; bounds memory for any count
 # Largest deviation each oracle check may show for the oracle to pass.
 ORACLE_TOLERANCES = {
     "emimo_max_cross": 1e-10,
@@ -47,13 +50,13 @@ def quadrature_rep(m: np.ndarray) -> np.ndarray:
 
 def _block2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     """``np.block([[top_left, top_right], [bottom_left, bottom_right]])`` for
-    four real blocks of one shape, without ``np.block``'s nesting checks."""
-    r, c = top_left.shape
-    out = np.empty((2 * r, 2 * c))
-    out[:r, :c] = top_left
-    out[:r, c:] = top_right
-    out[r:, :c] = bottom_left
-    out[r:, c:] = bottom_right
+    four real (stacked) blocks of one shape, without ``np.block``'s checks."""
+    *lead, r, c = top_left.shape
+    out = np.empty((*lead, 2 * r, 2 * c))
+    out[..., :r, :c] = top_left
+    out[..., :r, c:] = top_right
+    out[..., r:, :c] = bottom_left
+    out[..., r:, c:] = bottom_right
     return out
 
 
@@ -64,7 +67,7 @@ def _symplectic_form(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero-or-displaced Gaussian state of ``n`` bosonic modes.
+    """Zero-or-displaced Gaussian state of ``n`` bosonic modes (or a stack).
 
     Attributes
     ----------
@@ -79,7 +82,7 @@ class GaussianState:
 
     @property
     def mode_count(self) -> int:
-        return self.mean.size // 2
+        return self.mean.shape[-1] // 2
 
     # -- constructors ------------------------------------------------------
 
@@ -133,9 +136,9 @@ class GaussianState:
     def _blocks(self):
         n = self.mode_count
         return (
-            self.cov[:n, :n],
-            self.cov[:n, n:],
-            self.cov[n:, n:],
+            self.cov[..., :n, :n],
+            self.cov[..., :n, n:],
+            self.cov[..., n:, n:],
         )
 
     @property
@@ -143,22 +146,22 @@ class GaussianState:
         """Normal-ordered correlations ``<a_j† a_k>`` (Hermitian)."""
         n = self.mode_count
         vxx, vxp, vpp = self._blocks()
-        c = (vxx + vpp) / 2.0 - 0.5 * np.eye(n) + 0.5j * (vxp - vxp.T)
+        c = (vxx + vpp) / 2.0 - 0.5 * np.eye(n) + 0.5j * (vxp - vxp.swapaxes(-1, -2))
         alpha = self.mode_means()
-        return c + np.outer(alpha.conj(), alpha)
+        return c + alpha.conj()[..., :, None] * alpha[..., None, :]
 
     @property
     def ladder_g(self) -> np.ndarray:
         """Pair correlations ``<a_j a_k>`` (symmetric)."""
         vxx, vxp, vpp = self._blocks()
-        g = (vxx - vpp) / 2.0 + 0.5j * (vxp + vxp.T)
+        g = (vxx - vpp) / 2.0 + 0.5j * (vxp + vxp.swapaxes(-1, -2))
         alpha = self.mode_means()
-        return g + np.outer(alpha, alpha)
+        return g + alpha[..., :, None] * alpha[..., None, :]
 
     def mode_means(self) -> np.ndarray:
         """Complex amplitudes ``<a_j>``."""
         n = self.mode_count
-        return (self.mean[:n] + 1j * self.mean[n:]) / np.sqrt(2.0)
+        return (self.mean[..., :n] + 1j * self.mean[..., n:]) / np.sqrt(2.0)
 
     def validate(self, tol: float = PHYSICALITY_TOL) -> None:
         """Check symmetry and the uncertainty bound ``cov + i Omega / 2 >= 0``."""
@@ -183,10 +186,10 @@ def propagate(
     Parameters
     ----------
     state : GaussianState
-        Input register; ``signal_map`` must have matching column count.
+        Input register (or a stack); ``signal_map`` must have matching column count.
     signal_map, noise_map : ndarray
-        Complex maps A (n_out x n_in) and B (n_out x n_env).  They must
-        satisfy ``A A† + B B† = I`` within 1e-9 max-entry.
+        Complex maps A (n_out x n_in) and B (n_out x n_env), or stacks.  They
+        must satisfy ``A A† + B B† = I`` within 1e-9 max-entry.
     thermal_photons : float
         Mean photon number of each independent environment mode.
 
@@ -198,27 +201,27 @@ def propagate(
     """
     a = np.atleast_2d(np.asarray(signal_map, dtype=complex))
     b = np.atleast_2d(np.asarray(noise_map, dtype=complex))
-    n_out = a.shape[0]
-    if a.shape[1] != state.mode_count:
+    n_out = a.shape[-2]
+    if a.shape[-1] != state.mode_count:
         raise ValueError(
-            f"signal map expects {a.shape[1]} modes, state has {state.mode_count}"
+            f"signal map expects {a.shape[-1]} modes, state has {state.mode_count}"
         )
-    if b.shape[0] != n_out:
+    if b.shape[-2] != n_out:
         raise ValueError("signal and noise maps must have the same output count")
     if thermal_photons < 0:
         raise ValueError("thermal photon number must be non-negative")
 
-    gap = np.max(np.abs(a @ a.conj().T + b @ b.conj().T - np.eye(n_out)))
-    if gap > COMMUTATOR_TOL:
+    gap = np.max(np.abs(a @ _dagger(a) + b @ _dagger(b) - np.eye(n_out)), axis=(-2, -1))
+    if not (gap <= COMMUTATOR_TOL).all():  # "not within", so that a NaN map fails
         raise NonPhysicalTransformError(
-            f"A A† + B B† deviates from identity by {gap:.3e}; "
+            f"A A† + B B† deviates from identity by {np.max(gap):.3e}; "
             "the map does not preserve output commutators"
         )
 
-    ra = quadrature_rep(a)
-    rb = quadrature_rep(b)
-    mean = ra @ state.mean
-    cov = ra @ state.cov @ ra.T + (thermal_photons + 0.5) * (rb @ rb.T)
+    ra, rb = quadrature_rep(a), quadrature_rep(b)
+    mean = (ra @ state.mean[..., None])[..., 0]
+    cov = ra @ state.cov @ ra.swapaxes(-1, -2)
+    cov += (thermal_photons + 0.5) * (rb @ rb.swapaxes(-1, -2))
     return GaussianState(mean=mean, cov=cov)
 
 
@@ -232,24 +235,28 @@ def emimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     passing idlers through untouched.
 
     Returns ``(input_state, signal_map, noise_map)``; output modes are the
-    ``n_rx`` receiver branches followed by the r idlers.
+    ``n_rx`` receiver branches followed by the r idlers.  A stack of channels
+    of one rank gives stacked maps and the one input state.
     """
     cm.require_physical()
-    r = cm.rank
+    r = int(np.max(cm.rank))
+    if np.any(cm.rank != r):
+        raise ValueError("emimo_setup needs one rank across a stack of channels")
     n_tx, n_rx = cm.n_tx, cm.n_rx
+    lead, eye = cm.matrix.shape[:-2], np.eye(n_rx)
     state = GaussianState.tmss_pairs(
         params.n_signal,
         pairs=r,
         total_modes=n_tx + r,
         links=[(k, n_tx + k) for k in range(r)],
     )
-    branch_map = cm.u.conj().T @ (symbol * cm.matrix) @ cm.v
-    signal_map = np.zeros((n_rx + r, n_tx + r), dtype=complex)
-    signal_map[:n_rx, :n_tx] = branch_map
-    signal_map[n_rx:, n_tx:] = np.eye(r)
+    branch_map = _dagger(cm.u) @ (symbol * cm.matrix) @ cm.v
+    signal_map = np.zeros(lead + (n_rx + r, n_tx + r), dtype=complex)
+    signal_map[..., :n_rx, :n_tx] = branch_map
+    signal_map[..., n_rx:, n_tx:] = np.eye(r)
     # beamformer applied after the channel noise: U† (U S) = S numerically
-    noise_map = np.zeros((n_rx + r, n_rx), dtype=complex)
-    noise_map[:n_rx, :] = cm.u.conj().T @ cm.u @ np.diag(cm.loss_coefficients)
+    noise_map = np.zeros(lead + (n_rx + r, n_rx), dtype=complex)
+    noise_map[..., :n_rx, :] = _dagger(cm.u) @ cm.u @ (cm.loss_coefficients[..., None] * eye)
     return state, signal_map, noise_map
 
 
@@ -262,83 +269,92 @@ def pmimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     """
     cm.require_physical()
     h = _square_matrix(cm)
-    n = cm.n_tx
+    n, lead = cm.n_tx, h.shape[:-2]
     state = GaussianState.tmss_pairs(
         params.n_signal,
         pairs=n,
         total_modes=2 * n,
         links=[(k, n + k) for k in range(n)],
     )
-    signal_map = np.zeros((2 * n, 2 * n), dtype=complex)
-    signal_map[:n, :n] = symbol * h
-    signal_map[n:, n:] = np.eye(n)
-    noise_map = np.zeros((2 * n, n), dtype=complex)
-    noise_map[:n, :] = cm.u @ np.diag(cm.loss_coefficients)
+    signal_map = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
+    signal_map[..., :n, :n] = symbol * h
+    signal_map[..., n:, n:] = np.eye(n)
+    noise_map = np.zeros(lead + (2 * n, n), dtype=complex)
+    noise_map[..., :n, :] = cm.u @ (cm.loss_coefficients[..., None] * np.eye(n))
     return state, signal_map, noise_map
 
 
 def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:
     """Propagate both protocols through the Gaussian oracle and compare with
     the closed forms.  Returns max deviations keyed by check name (the keys
-    of :data:`ORACLE_TOLERANCES`)."""
+    of :data:`ORACLE_TOLERANCES`): numbers for one channel, one entry per
+    channel for a stack.  The eigen protocol runs once per rank present."""
+    stack = cm[None] if np.ndim(cm.rank) == 0 else cm
     n_signal, n_thermal = params.n_signal, params.n_thermal
     cross = tmss_moments(n_signal).cross_correlation
 
     # eigen protocol: branches must decouple and match the eigen-channel forms
-    state, smap, nmap = emimo_setup(cm, params)
-    out = propagate(state, smap, nmap, n_thermal)
-    r, n_rx = cm.rank, cm.n_rx
-    eta = cm.port_eta
-    c_exp = np.concatenate(
-        [
-            eta * np.where(np.arange(n_rx) < r, n_signal, 0.0)
-            + (1.0 - eta) * n_thermal,
-            np.full(r, n_signal),
-        ]
-    )
-    g_exp = np.zeros((n_rx + r, n_rx + r))
-    k = np.arange(r)
-    g_exp[k, n_rx + k] = g_exp[n_rx + k, k] = np.sqrt(eta[:r]) * cross
-    linked = g_exp > 0
-
-    c_dev = np.abs(out.ladder_c - np.diag(c_exp))
-    g_dev = np.abs(out.ladder_g - g_exp)
-    eigen_dev = float(
-        np.max(np.concatenate([np.diag(c_dev) / c_exp, g_dev[linked] / g_exp[linked]]))
-    )
-    np.fill_diagonal(c_dev, 0.0)
-    cross_dev = float(max(c_dev.max(), g_dev[~linked].max()))
+    n_rx = cm.n_rx
+    eigen_dev, cross_dev = np.empty(len(stack)), np.empty(len(stack))
+    for r in sorted(set(stack.rank.tolist())):
+        part = np.flatnonzero(stack.rank == r)
+        out = propagate(*emimo_setup(stack[part], params), n_thermal)
+        eta = stack.port_eta[part]
+        c_exp = np.full((len(part), n_rx + r), n_signal)
+        c_exp[:, :n_rx] = (
+            eta * np.where(np.arange(n_rx) < r, n_signal, 0.0) + (1.0 - eta) * n_thermal
+        )
+        g_exp = np.zeros((len(part), n_rx + r, n_rx + r))
+        k = np.arange(r)
+        g_exp[:, k, n_rx + k] = g_exp[:, n_rx + k, k] = np.sqrt(eta[:, :r]) * cross
+        linked = g_exp > 0
+        c_dev = np.abs(out.ladder_c - c_exp[..., None] * np.eye(n_rx + r))
+        g_dev = np.abs(out.ladder_g - g_exp)
+        diagonal = np.arange(n_rx + r)
+        rel = np.divide(g_dev, g_exp, out=np.zeros_like(g_dev), where=linked)
+        rel[:, diagonal, diagonal] = c_dev[:, diagonal, diagonal] / c_exp
+        eigen_dev[part] = np.max(rel, axis=(-2, -1))
+        c_dev[:, diagonal, diagonal] = 0.0
+        cross_dev[part] = np.max(np.maximum(c_dev, np.where(linked, 0, g_dev)), axis=(-2, -1))
 
     # paired protocol: received photons match the exact passive bookkeeping
-    paired_dev = 0.0
+    paired_dev = np.zeros(len(stack))
     if cm.n_rx == cm.n_tx:
-        state, smap, nmap = pmimo_setup(cm, params)
-        out = propagate(state, smap, nmap, n_thermal)
-        photons = out.ladder_c.diagonal()[: cm.n_tx].real
-        h = cm.matrix
+        out = propagate(*pmimo_setup(stack, params), n_thermal)
+        photons = np.diagonal(out.ladder_c, axis1=-2, axis2=-1)[:, : cm.n_tx].real
+        h = stack.matrix
         expected = (
-            n_signal * np.abs(np.diag(h)) ** 2
-            + pmimo_interference(cm, params, coherent=False)
-            - n_thermal * np.sum(np.abs(h) ** 2, axis=1)
+            n_signal * np.abs(np.diagonal(h, axis1=-2, axis2=-1)) ** 2
+            + pmimo_interference(stack, params, coherent=False)
+            - n_thermal * np.sum(np.abs(h) ** 2, axis=-1)
         )
-        paired_dev = float(np.max(np.abs(photons - expected) / expected))
+        paired_dev = np.max(np.abs(photons - expected) / expected, axis=-1)
 
-    return {
-        "emimo_max_cross": cross_dev,
-        "emimo_max_moment_rel": eigen_dev,
-        "pmimo_max_photon_rel": paired_dev,
-    }
+    checks = {"emimo_max_cross": cross_dev, "emimo_max_moment_rel": eigen_dev,
+              "pmimo_max_photon_rel": paired_dev}
+    return checks if stack is cm else {name: float(dev[0]) for name, dev in checks.items()}
+
+
+def _oracle_draw(seed: int, trial: int, max_n: int):
+    """Trial ``trial``'s raw n x n channel and the spectral norm it is scaled to."""
+    rng = substream(seed, trial)
+    n = int(rng.integers(1, max_n + 1))
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return raw, rng.uniform(0.05, 0.95)
+
+
+def _oracle_channels(draws) -> ChannelMatrix:
+    """Scale and factor ``draws``, ``(raw, norm)`` pairs of one size, as one stack."""
+    raws, norms = map(np.array, zip(*draws))
+    s0 = np.linalg.svd(raws, compute_uv=False)[:, 0]
+    return decompose_channel(raws * (norms / s0)[:, None, None])
 
 
 def oracle_channel(seed: int, trial: int, max_n: int = 8) -> ChannelMatrix:
     """The random channel of oracle trial ``trial``: from
     ``substream(seed, trial)``, a square channel of size n in [1, max_n]
     scaled to a spectral norm in [0.05, 0.95]."""
-    rng = substream(seed, trial)
-    n = int(rng.integers(1, max_n + 1))
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    raw *= rng.uniform(0.05, 0.95) / np.linalg.svd(raw, compute_uv=False)[0]
-    return decompose_channel(raw)
+    return _oracle_channels([_oracle_draw(seed, trial, max_n)])[0]
 
 
 @dataclass(frozen=True)
@@ -358,15 +374,24 @@ class OracleReport:
 
 def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> OracleReport:
     """Run the oracle checks on the channels of trials ``0..trials-1`` of
-    :func:`oracle_channel`."""
+    :func:`oracle_channel`, in blocks of :data:`ORACLE_BLOCK` with each size of
+    a block as one stack.  A NaN deviation counts as the largest: it fails."""
     worst = dict.fromkeys(ORACLE_TOLERANCES, 0.0)
     worst_ratio, worst_trial, worst_n = -1.0, 0, 0
-    for i in range(trials):
-        cm = oracle_channel(seed, i, max_n)
-        checks = run_oracle_checks(cm, params)
-        for name in worst:
-            worst[name] = max(worst[name], checks[name])
-        ratio = max(checks[name] / tol for name, tol in ORACLE_TOLERANCES.items())
-        if ratio > worst_ratio:
-            worst_ratio, worst_trial, worst_n = ratio, i, cm.n_rx
+    for start in range(0, trials, ORACLE_BLOCK):
+        block = range(start, min(trials, start + ORACLE_BLOCK))
+        draws = [_oracle_draw(seed, i, max_n) for i in block]
+        sizes = np.array([len(raw) for raw, _ in draws])
+        checks = {name: np.empty(len(block)) for name in ORACLE_TOLERANCES}
+        for n in sorted(set(sizes.tolist())):
+            part = np.flatnonzero(sizes == n)
+            cm = _oracle_channels([draws[i] for i in part])
+            for name, dev in run_oracle_checks(cm, params).items():
+                checks[name][part] = dev
+        worst = {name: float(np.max(checks[name], initial=worst[name])) for name in worst}
+        ratios = np.max([checks[name] / tol for name, tol in ORACLE_TOLERANCES.items()], axis=0)
+        # argmax takes the first of the largest ratios, and a NaN as the largest
+        best = int(np.argmax(np.append(worst_ratio, ratios))) - 1
+        if best >= 0:
+            worst_ratio, worst_trial, worst_n = ratios[best], block[best], int(sizes[best])
     return OracleReport(worst, worst_trial, worst_n)

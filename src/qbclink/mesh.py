@@ -19,7 +19,7 @@ phases last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,6 +93,11 @@ class BeamSplitterMesh:
             raise ValueError("mixing angles must lie in [0, pi/2]")
         if not (np.isfinite(self.phases).all() and np.isfinite(self.output_phases).all()):
             raise ValueError("coupler and output phases must be finite")
+
+    def __eq__(self, other):
+        # the generated __eq__ takes the truth value of array comparisons, which raises
+        return isinstance(other, BeamSplitterMesh) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def elements(self) -> tuple:

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qbclink
 from qbclink import io, montecarlo
 from qbclink.cli import COMMANDS, _merge_config, build_parser, main
 
@@ -361,6 +364,26 @@ class TestOracleCommand:
         code, _, err = run(capsys, ["oracle", "--set", override])
         assert code == 2
         assert f"key '{override.split('=')[0]}'" in err
+
+    @pytest.mark.parametrize("max_n", ["65", str(10**9)])
+    def test_max_n_above_64_rejected_before_any_trial(self, capsys, monkeypatch, max_n):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("an oracle trial ran")
+
+        monkeypatch.setattr("qbclink.gaussian.run_oracle", no_trial)
+        code, out, err = run(capsys, ["oracle", "--set", f"max_n={max_n}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: key 'max_n' must lie in [1, 64], got {max_n}\n"
+
+    def test_python_dash_m_runs_the_command_line(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qbclink.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "qbclink", "oracle", "--trials", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "ok,true"
 
 
 # each command that reads a seed, and the call that would do its first work

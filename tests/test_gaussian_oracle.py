@@ -13,8 +13,9 @@ from qbclink import (
     quadrature_rep,
     tmss_moments,
 )
-from qbclink.cli import run_oracle_checks
-from qbclink.gaussian import ORACLE_TOLERANCES, oracle_channel, run_oracle
+from qbclink import gaussian
+from qbclink.cli import main, run_oracle_checks
+from qbclink.gaussian import ORACLE_BLOCK, ORACLE_TOLERANCES, oracle_channel, run_oracle
 
 PARAMS = QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9)
 
@@ -109,6 +110,10 @@ class TestPropagate:
         g_direct = a @ state.ladder_g @ a.T
         assert np.allclose(out.ladder_c, c_direct, atol=1e-12)
         assert np.allclose(out.ladder_g, g_direct, atol=1e-12)
+
+    def test_nan_map_rejected(self):
+        with pytest.raises(NonPhysicalTransformError):
+            propagate(GaussianState.vacuum(1), [[np.nan]], [[1.0]], 0.5)
 
     def test_shape_mismatch_rejected(self):
         state = GaussianState.vacuum(2)
@@ -228,3 +233,158 @@ def test_oracle_worst_trial_reproduces_from_its_seed():
     assert checks[name] == report.worst[name]
     for trial in range(trials):
         assert max(ratios(trial)[1].values()) <= worst[name]
+
+
+def mixed_rank_stack():
+    """Square 3x3 channels of ranks 3, 2, 3, 1, 2 and 3, factored as one stack."""
+    rng = np.random.default_rng(110)
+    full = [random_physical_channel(rng, 3).matrix for _ in range(3)]
+    return decompose_channel(np.array([
+        full[0], np.diag([0.5, 0.0, 0.3]), full[1],
+        np.diag([0.0, 0.0, 0.4]), np.diag([0.2, 0.7, 0.0]), full[2],
+    ], dtype=complex))
+
+
+def non_square_stack():
+    rng = np.random.default_rng(111)
+    h = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    h *= 0.5 / np.linalg.svd(h, compute_uv=False)[:, :1, None]
+    return decompose_channel(h)
+
+
+def assert_states_equal(stacked, i, alone):
+    assert np.array_equal(stacked.mean[i], alone.mean)
+    assert np.array_equal(stacked.cov[i], alone.cov)
+    assert np.array_equal(stacked.ladder_c[i], alone.ladder_c)
+    assert np.array_equal(stacked.ladder_g[i], alone.ladder_g)
+
+
+class TestStacksAreMembersBitForBit:
+    """Every stacked entry equals the same member's channel factored alone."""
+
+    @pytest.mark.parametrize("make", [mixed_rank_stack, non_square_stack])
+    def test_run_oracle_checks(self, make):
+        stack = make()
+        checks = run_oracle_checks(stack, PARAMS)
+        assert sorted(checks) == sorted(ORACLE_TOLERANCES)
+        for i, h in enumerate(stack.matrix):
+            alone = run_oracle_checks(decompose_channel(h), PARAMS)
+            for name, value in alone.items():
+                assert isinstance(value, float)
+                assert checks[name][i] == value, (name, i)
+        if stack.n_rx != stack.n_tx:
+            assert np.array_equal(checks["pmimo_max_photon_rel"], np.zeros(len(stack)))
+
+    def test_mixed_ranks_are_checked(self):
+        assert mixed_rank_stack().rank.tolist() == [3, 2, 3, 1, 2, 3]
+        checks = run_oracle_checks(mixed_rank_stack(), PARAMS)
+        for name, tol in ORACLE_TOLERANCES.items():
+            assert np.all(checks[name] <= tol)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_emimo_setup_and_propagate(self, rank):
+        whole = mixed_rank_stack()
+        stack = whole[whole.rank == rank]
+        state, smap, nmap = emimo_setup(stack, PARAMS)
+        out = propagate(state, smap, nmap, PARAMS.n_thermal)
+        for i, h in enumerate(stack.matrix):
+            state_i, smap_i, nmap_i = emimo_setup(decompose_channel(h), PARAMS)
+            assert np.array_equal(state.cov, state_i.cov)
+            assert np.array_equal(smap[i], smap_i)
+            assert np.array_equal(nmap[i], nmap_i)
+            assert_states_equal(out, i, propagate(state_i, smap_i, nmap_i, PARAMS.n_thermal))
+
+    def test_emimo_setup_rejects_a_stack_of_mixed_ranks(self):
+        with pytest.raises(ValueError, match="one rank"):
+            emimo_setup(mixed_rank_stack(), PARAMS)
+
+    def test_pmimo_setup_and_propagate(self):
+        stack = mixed_rank_stack()
+        state, smap, nmap = pmimo_setup(stack, PARAMS)
+        out = propagate(state, smap, nmap, PARAMS.n_thermal)
+        for i, h in enumerate(stack.matrix):
+            state_i, smap_i, nmap_i = pmimo_setup(decompose_channel(h), PARAMS)
+            assert np.array_equal(smap[i], smap_i)
+            assert np.array_equal(nmap[i], nmap_i)
+            assert_states_equal(out, i, propagate(state_i, smap_i, nmap_i, PARAMS.n_thermal))
+
+    def test_stacked_states_through_stacked_maps(self):
+        rng = np.random.default_rng(112)
+        states = [GaussianState.thermal(2, 3.0),
+                  GaussianState.tmss_pairs(0.2, pairs=1, total_modes=2, links=[(0, 1)])]
+        states.append(GaussianState(mean=rng.standard_normal(4), cov=states[1].cov))
+        stacked = GaussianState(mean=np.array([s.mean for s in states]),
+                                cov=np.array([s.cov for s in states]))
+        maps = [pmimo_setup(random_physical_channel(rng, 1), PARAMS)[1:] for _ in states]
+        out = propagate(stacked, np.array([a for a, _ in maps]),
+                        np.array([b for _, b in maps]), 4.0)
+        for i, (state, (a, b)) in enumerate(zip(states, maps)):
+            assert_states_equal(out, i, propagate(state, a, b, 4.0))
+            assert np.array_equal(stacked.ladder_c[i], state.ladder_c)
+            assert np.array_equal(stacked.ladder_g[i], state.ladder_g)
+            assert np.array_equal(stacked.mode_means()[i], state.mode_means())
+
+    def test_one_bad_member_fails_the_stack(self):
+        state, smap, nmap = pmimo_setup(mixed_rank_stack(), PARAMS)
+        smap[4, 0, 0] = np.nan
+        with pytest.raises(NonPhysicalTransformError, match="nan"):
+            propagate(state, smap, nmap, PARAMS.n_thermal)
+
+
+def trial_by_trial(params, trials, seed, max_n):
+    """The oracle run one trial at a time: worst values, worst trial, its size."""
+    worst = dict.fromkeys(ORACLE_TOLERANCES, 0.0)
+    worst_ratio, worst_trial, worst_n = -1.0, 0, 0
+    for i in range(trials):
+        cm = oracle_channel(seed, i, max_n)
+        checks = run_oracle_checks(cm, params)
+        for name in worst:
+            worst[name] = max(worst[name], checks[name])
+        ratio = max(checks[name] / tol for name, tol in ORACLE_TOLERANCES.items())
+        if ratio > worst_ratio:
+            worst_ratio, worst_trial, worst_n = ratio, i, cm.n_rx
+    return worst, worst_trial, worst_n
+
+
+@pytest.mark.parametrize(
+    "max_n, trials, seed",
+    [(1, ORACLE_BLOCK + 6, 3), (3, 2 * ORACLE_BLOCK + 5, 4), (8, ORACLE_BLOCK + 37, 5),
+     (8, 7, 6)],
+)
+def test_run_oracle_equals_trial_by_trial(max_n, trials, seed):
+    report = run_oracle(PARAMS, trials, seed, max_n)
+    worst, worst_trial, worst_n = trial_by_trial(PARAMS, trials, seed, max_n)
+    assert report.worst == worst
+    assert (report.worst_trial, report.worst_n) == (worst_trial, worst_n)
+
+
+def test_worst_trial_is_the_first_of_equal_ratios(monkeypatch):
+    def constant(cm, params):
+        return {name: np.full(len(cm), tol / 2) for name, tol in ORACLE_TOLERANCES.items()}
+
+    monkeypatch.setattr(gaussian, "run_oracle_checks", constant)
+    report = run_oracle(PARAMS, 2 * ORACLE_BLOCK + 3, 1)
+    assert report.worst_trial == 0
+    assert report.worst_n == oracle_channel(1, 0).n_rx
+
+
+def test_nan_deviation_fails_the_oracle_and_names_its_trial(monkeypatch, capsys):
+    seed, trials, max_n = 2, ORACLE_BLOCK + 10, 4
+    first = next(i for i in range(trials) if oracle_channel(seed, i, max_n).n_rx == 3)
+    real = gaussian.pmimo_interference
+
+    def nan_at_size_three(cm, params, coherent=True):
+        return real(cm, params, coherent) * (np.nan if cm.n_tx == 3 else 1.0)
+
+    monkeypatch.setattr(gaussian, "pmimo_interference", nan_at_size_three)
+    report = run_oracle(PARAMS, trials, seed, max_n)
+    assert np.isnan(report.worst["pmimo_max_photon_rel"])
+    assert not report.ok
+    assert (report.worst_trial, report.worst_n) == (first, 3)
+
+    code = main(["oracle", "--trials", str(trials), "--seed", str(seed),
+                 "--set", f"max_n={max_n}"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "pmimo_max_photon_rel,nan" in lines
+    assert lines[-3:] == [f"worst_trial,{first}", "worst_n,3", "ok,false"]

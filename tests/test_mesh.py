@@ -175,3 +175,19 @@ def test_serialization_rejects_truncated_file():
     lines = text.splitlines()
     with pytest.raises(ValueError):
         mesh_from_text("\n".join(lines[:-2]))
+
+
+def test_meshes_compare_by_field_values():
+    rng = np.random.default_rng(21)
+    u = haar_unitary(4, rng)
+    mesh = clements_decompose(u)
+    assert mesh == clements_decompose(u)
+    assert mesh == mesh_from_text(mesh_to_text(mesh))
+    assert not mesh != clements_decompose(u)
+    assert mesh != clements_decompose(haar_unitary(4, rng))
+    assert mesh != clements_decompose(haar_unitary(3, rng))
+    shifted = BeamSplitterMesh(
+        mesh.dimension, mesh.ports, mesh.mixing_angles, mesh.phases, mesh.output_phases + 0.1
+    )
+    assert mesh != shifted
+    assert mesh != "not a mesh"
