@@ -20,26 +20,31 @@ Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import os
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from . import gaussian, io, mesh, montecarlo, qi
-from .channel import (
-    ClutterPath,
-    FadingSpec,
-    LinkBudget,
-    PropagationPath,
-    build_clutter_channel,
-    build_two_path_channel,
-    decompose_channel,
-    round_trip_transmissivity,
-    sample_double_rayleigh,
-)
+from . import io
 from .errors import ConfigError, NonUnitaryInputError
-from .gaussian import run_oracle_checks  # noqa: F401  (public at this path too)
+
+
+def __getattr__(name):
+    # gaussian defines it; public at this path too
+    if name == "run_oracle_checks":
+        from .gaussian import run_oracle_checks
+
+        return run_oracle_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _resolve(path: str):
+    """The object ``"module.name"`` of this package, importing the module."""
+    module, name = path.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 class Key(NamedTuple):
@@ -147,11 +152,11 @@ _seed = _integer(0, 2**64 - 1, "lie in [0, 2**64 - 1]")
 _count = _integer(1)
 
 
-def _choice(enum_type, what: str, fold_case: bool = False):
-    """Converter looking an ``enum_type`` member up by its value."""
-    members = {member.value: member for member in enum_type}
+def _choice(enum_path: str, what: str, fold_case: bool = False):
+    """Converter looking a member of the enum at ``enum_path`` up by its value."""
 
     def convert(name, value):
+        members = {member.value: member for member in _resolve(enum_path)}
         text = str(value).lower() if fold_case else str(value)
         if text not in members:
             raise ConfigError(
@@ -162,12 +167,14 @@ def _choice(enum_type, what: str, fold_case: bool = False):
     return convert
 
 
-def _path_list(factory, fields):
-    """Converter for a list of path tables, each giving every float field."""
+def _path_list(factory_path: str, fields):
+    """Converter for a list of path tables, each giving every float field, to
+    instances of the class at ``factory_path``."""
 
     def convert(name, value):
         if not isinstance(value, list):
             raise ConfigError(f"key '{name}' must be a list of path tables")
+        factory = _resolve(factory_path)
         paths = []
         for i, entry in enumerate(value):
             where = f"{name}[{i}]"
@@ -208,9 +215,10 @@ _CHANNEL_KEYS = (
     Key("spacing", float),
     Key("draw", _integer(0), 0),
     Key("modes", float, 1e9),
-    Key("paths", _path_list(PropagationPath, ("eta", "phase", "omega_r", "omega_t"))),
-    Key("tx_paths", _path_list(ClutterPath, _CLUTTER_FIELDS)),
-    Key("rx_paths", _path_list(ClutterPath, _CLUTTER_FIELDS)),
+    Key("paths", _path_list("channel.PropagationPath",
+                            ("eta", "phase", "omega_r", "omega_t"))),
+    Key("tx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
+    Key("rx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
 )
 # the keys each channel kind accepts; eta, ns and nz add a protocol report
 _REPORT_KEYS = {"kind", "eta", "ns", "nz", "modes"}
@@ -224,7 +232,7 @@ _BER_KEYS = (
     Key("eta", float, 1e-5, flag="--eta"),
     Key("ns", float, 0.01, flag="--ns"),
     Key("nz", float, 100.0, flag="--nz"),
-    Key("receiver", _choice(qi.Receiver, "receiver", fold_case=True),
+    Key("receiver", _choice("qi.Receiver", "receiver", fold_case=True),
         help="classical, guha, or zhuang", flag="--receiver"),
     Key("m_min", float, 1e6),
     Key("m_max", float, 1e10),
@@ -240,7 +248,7 @@ _SWEEP_KEYS = (
     Key("nz", float, 100.0, flag="--nz"),
     Key("trials", _count, 10_000, flag="--trials"),
     Key("seed", _seed, 0, flag="--seed"),
-    Key("channel", _choice(montecarlo.ChannelKind, "channel kind"), "double-rayleigh",
+    Key("channel", _choice("montecarlo.ChannelKind", "channel kind"), "double-rayleigh",
         help="deterministic or double-rayleigh", flag="--channel"),
     Key("workers", int, 1),
 )
@@ -260,6 +268,7 @@ def _write_lines(path, lines) -> None:
 
 
 # -- commands ---------------------------------------------------------------
+# Each command imports the modules it runs, so it loads only those.
 
 
 def _spec(factory, *args, **kwargs):
@@ -271,6 +280,8 @@ def _spec(factory, *args, **kwargs):
 
 
 def cmd_link_budget(args) -> int:
+    from .channel import LinkBudget, round_trip_transmissivity
+
     cfg = _merge_config(args, _LINK_BUDGET_KEYS)
     # the table lists the LinkBudget fields in order
     eta = round_trip_transmissivity(LinkBudget(*(cfg[k.name] for k in _LINK_BUDGET_KEYS)))
@@ -281,14 +292,16 @@ def cmd_link_budget(args) -> int:
 
 
 def _build_channel(cfg: _Config):
+    from . import channel
+
     kind = cfg["kind"]
     if kind not in _CHANNEL_KINDS:
         raise ConfigError(f"unknown channel kind {kind!r}")
     _reject_unknown(cfg.values, _CHANNEL_KINDS[kind])
     if kind == "two_path":
-        return build_two_path_channel(cfg["paths"], cfg["spacing"])
+        return channel.build_two_path_channel(cfg["paths"], cfg["spacing"])
     if kind == "clutter":
-        return build_clutter_channel(
+        return channel.build_clutter_channel(
             cfg["tx_paths"],
             cfg["rx_paths"],
             n_tx=cfg["nt"],
@@ -296,12 +309,15 @@ def _build_channel(cfg: _Config):
             n_rx=cfg["nr"],
             spacing=cfg["spacing"],
         )
-    spec = _spec(FadingSpec, cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
+    spec = _spec(channel.FadingSpec, cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
     # the sampler gives no factors; the report's values come from the full SVD
-    return decompose_channel(sample_double_rayleigh(spec, cfg["draw"])[0].matrix)
+    draw = channel.sample_double_rayleigh(spec, cfg["draw"])[0]
+    return channel.decompose_channel(draw.matrix)
 
 
 def cmd_channel(args) -> int:
+    from . import qi
+
     cfg = _merge_config(args, _CHANNEL_KEYS)
     report = "ns" in cfg and "nz" in cfg and "eta" in cfg
     params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
@@ -320,6 +336,8 @@ def cmd_channel(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import mesh
+
     _merge_config(args, ())  # no keys: rejects any the config or --set names
     unitary = io.read_matrix(args.input)
     try:
@@ -339,6 +357,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ber(args) -> int:
+    from . import qi
+
     cfg = _merge_config(args, _BER_KEYS)
     eta = cfg["eta"]
     if not 0.0 <= eta <= 1.0:
@@ -367,6 +387,8 @@ def cmd_ber(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import montecarlo, qi
+
     cfg = _merge_config(args, _SWEEP_KEYS)
     n_tx = cfg["nt"]
     n_rx = cfg["nr"]
@@ -409,6 +431,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import gaussian, qi
+
     cfg = _merge_config(args, _ORACLE_KEYS)
     params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], modes=1e9)
     report = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
@@ -466,8 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser as it was, so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

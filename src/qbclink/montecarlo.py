@@ -324,10 +324,14 @@ def summary_csv_lines(kind: ChannelKind, results) -> list:
 
 def cdf_csv_lines(results) -> list:
     lines = [CDF_HEADER]
-    for res in results:
+    # the probabilities are counts over the trial count, alike across blocks:
+    # each distinct one is formatted once per call
+    probs = [res.cdf.probs.tolist() for res in results]
+    prob_text = {prob: f"{prob:.17g}" for prob in set().union(*probs)}
+    for res, block_probs in zip(results, probs):
         prefix = f"{res.rank},{res.protocol.value},"
         lines.extend(
-            f"{prefix}{value:.17g},{prob:.17g}"
-            for value, prob in zip(res.cdf.values.tolist(), res.cdf.probs.tolist())
+            f"{prefix}{value:.17g},{prob_text[prob]}"
+            for value, prob in zip(res.cdf.values.tolist(), block_probs)
         )
     return lines

@@ -14,6 +14,8 @@ runs the hash for every path as ``uint32`` array operations and the LCG steps
 on Python integers, then sets the state of one reused ``PCG64`` per path.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF

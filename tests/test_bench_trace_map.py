@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-import qbclink  # noqa: F401  (imports every submodule, so every import site exists)
+# every submodule, so every import site exists; ``import qbclink`` loads none
+from qbclink import channel, cli, gaussian, io, mesh, montecarlo, qi, rng  # noqa: F401
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

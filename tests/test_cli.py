@@ -393,7 +393,7 @@ SEEDED_COMMANDS = {
     "sweep-fading": (["sweep", "--trials", "5"], "qbclink.montecarlo.run_rank_sweep"),
     "sweep-deterministic": (["sweep", "--channel", "deterministic"],
                             "qbclink.montecarlo.run_rank_sweep"),
-    "channel-fading": (FADING_CHANNEL, "qbclink.cli.sample_double_rayleigh"),
+    "channel-fading": (FADING_CHANNEL, "qbclink.channel.sample_double_rayleigh"),
     "oracle": (["oracle", "--trials", "2"], "qbclink.gaussian.run_oracle"),
 }
 
@@ -424,7 +424,7 @@ def test_largest_seed_accepted(capsys, command):
 # work (oracle counts: TestOracleCommand)
 BOUNDED_COUNTS = {
     "channel-draw": (FADING_CHANNEL + ["--seed", "3", "--set", "draw=-1"], "draw",
-                     "qbclink.cli.sample_double_rayleigh"),
+                     "qbclink.channel.sample_double_rayleigh"),
     "sweep-fading-trials": (["sweep", "--trials", "0"], "trials",
                             "qbclink.montecarlo.run_rank_sweep"),
     "sweep-deterministic-trials": (["sweep", "--channel", "deterministic", "--trials", "-2"],
@@ -458,13 +458,13 @@ SPEC_ERRORS = {
                "qbclink.qi.siso_snr"),
     "channel-eta": (FADING_4X4 + ["--set", "nb=2", "--seed", "1", "--eta", "2"],
                     "reference_rtt must lie in (0, 1), got 2.0",
-                    "qbclink.cli.sample_double_rayleigh"),
+                    "qbclink.channel.sample_double_rayleigh"),
     "channel-nb": (FADING_4X4 + ["--set", "nb=8", "--seed", "1", "--eta", "1e-5"],
                    "n_tag=8 exceeds min(n_tx, n_rx)=4; the rank law would not hold",
-                   "qbclink.cli.sample_double_rayleigh"),
+                   "qbclink.channel.sample_double_rayleigh"),
     "channel-ns": (FADING_CHANNEL + ["--ns", "-1", "--nz", "100"],
                    "n_signal must be positive, got -1.0",
-                   "qbclink.cli.sample_double_rayleigh"),
+                   "qbclink.channel.sample_double_rayleigh"),
 }
 
 

@@ -21,6 +21,7 @@ from qbclink import (
 )
 from qbclink.montecarlo import (
     FADING_BLOCK,
+    _aggregate,
     _fading_batch,
     cdf_csv_lines,
     raw_csv_lines,
@@ -256,3 +257,32 @@ class TestCsvSchemas:
             rows = [ln for ln in raw[1:] if ln.startswith(prefix)]
             values = np.array([float(ln.split(",")[4]) for ln in rows])
             assert np.array_equal(values, res.samples)
+
+    def test_cdf_rows_equal_per_row_formatting_with_duplicate_samples(self):
+        """Each distinct probability is formatted once per call; the rows must
+        stay byte for byte those of formatting every row afresh."""
+
+        def per_row(results):
+            lines = ["rank,protocol,value,cumprob"]
+            for res in results:
+                prefix = f"{res.rank},{res.protocol.value},"
+                lines.extend(
+                    f"{prefix}{value:.17g},{prob:.17g}"
+                    for value, prob in zip(res.cdf.values.tolist(), res.cdf.probs.tolist())
+                )
+            return lines
+
+        rng = np.random.default_rng(4)
+        gains = [
+            np.repeat([0.5, 2.0, 3.0], [3, 1, 4]),  # duplicates merge into one step
+            rng.choice([0.25, 1.0, 7.5], size=40),
+            rng.lognormal(size=40),
+            rng.lognormal(size=7),  # another trial count: other probabilities
+        ]
+        results = [
+            _aggregate(rank, protocol, linear, 0)
+            for rank, linear in enumerate(gains, start=1)
+            for protocol in Protocol
+        ]
+        results += run_rank_sweep(small_spec(trials=30))
+        assert cdf_csv_lines(results) == per_row(results)
