@@ -11,9 +11,12 @@ Physical maps preserve the output commutators, which pins ``A A† + B B† = I`
 
 States, maps and channels may be stacks on leading axes, each member getting
 the bits it gets alone.  :func:`run_oracle_checks` compares propagated moments
-with the closed forms; :func:`run_oracle` runs it, batched per channel size, on
-the channels of :func:`oracle_channel` (trial ``i`` is ``oracle_channel(seed,
-i, max_n)``) and names the worst trial.
+with the closed forms; :func:`run_oracle` runs it on the channels of
+:func:`oracle_channel` (trial ``i`` is ``oracle_channel(seed, i, max_n)``, drawn
+from ``substream(seed, i)``) and names the worst trial.  It seeds a block of
+trials at once through :func:`qbclink.rng.row_generators` and checks each
+channel size of a block in a few stacks, bounded in matrix entries;
+:func:`oracle_channel` is the block of one.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ import numpy as np
 from .channel import ChannelMatrix, _dagger, decompose_channel
 from .errors import NonPhysicalTransformError
 from .qi import QiParams, _square_matrix, pmimo_interference, tmss_moments
-from .rng import substream
+from .rng import row_generators
 
 COMMUTATOR_TOL = 1e-9
 PHYSICALITY_TOL = 1e-9
-ORACLE_BLOCK = 64  # oracle trials checked together; bounds memory for any count
+# Matrix entries the oracle draws per block (ORACLE_BLOCK_ENTRIES // max_n**2
+# trials) and checks per stack of one channel size; both bound its memory.
+ORACLE_BLOCK_ENTRIES = 2**16
+ORACLE_STACK_ENTRIES = 2**10
 # Largest deviation each oracle check may show for the oracle to pass.
 ORACLE_TOLERANCES = {
     "emimo_max_cross": 1e-10,
@@ -211,7 +217,10 @@ def propagate(
     if thermal_photons < 0:
         raise ValueError("thermal photon number must be non-negative")
 
-    gap = np.max(np.abs(a @ _dagger(a) + b @ _dagger(b) - np.eye(n_out)), axis=(-2, -1))
+    gap = a @ _dagger(a)
+    gap = np.add(gap, b @ _dagger(b), out=gap if a.shape[:-1] == b.shape[:-1] else None)
+    gap -= np.eye(n_out)
+    gap = np.max(np.abs(gap), axis=(-2, -1))
     if not (gap <= COMMUTATOR_TOL).all():  # "not within", so that a NaN map fails
         raise NonPhysicalTransformError(
             f"A A† + B B† deviates from identity by {np.max(gap):.3e}; "
@@ -221,7 +230,9 @@ def propagate(
     ra, rb = quadrature_rep(a), quadrature_rep(b)
     mean = (ra @ state.mean[..., None])[..., 0]
     cov = ra @ state.cov @ ra.swapaxes(-1, -2)
-    cov += (thermal_photons + 0.5) * (rb @ rb.swapaxes(-1, -2))
+    noise = rb @ rb.swapaxes(-1, -2)
+    noise *= thermal_photons + 0.5
+    cov += noise
     return GaussianState(mean=mean, cov=cov)
 
 
@@ -335,26 +346,42 @@ def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:
     return checks if stack is cm else {name: float(dev[0]) for name, dev in checks.items()}
 
 
-def _oracle_draw(seed: int, trial: int, max_n: int):
-    """Trial ``trial``'s raw n x n channel and the spectral norm it is scaled to."""
-    rng = substream(seed, trial)
-    n = int(rng.integers(1, max_n + 1))
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return raw, rng.uniform(0.05, 0.95)
+def _oracle_draws(seed: int, trials: range, max_n: int):
+    """``(sizes, real, imag, norms)`` of oracle trials ``trials``, seeded as
+    one block: trial ``t`` draws its size n in [1, max_n], the real and then
+    the imaginary parts of its raw n x n channel (row ``i`` of ``real`` and
+    ``imag`` holds trial ``trials[i]``'s n*n entries first) and the spectral
+    norm it is scaled to, all from ``substream(seed, t)``."""
+    sizes, norms = np.empty(len(trials), dtype=int), np.empty(len(trials))
+    real, imag = np.empty((2, len(trials), max_n * max_n))
+    for i, gen in row_generators(seed, [(t,) for t in trials]):
+        n = sizes[i] = gen.integers(1, max_n + 1)
+        gen.standard_normal(out=real[i, : n * n])
+        gen.standard_normal(out=imag[i, : n * n])
+        norms[i] = gen.uniform(0.05, 0.95)
+    return sizes, real, imag, norms
 
 
-def _oracle_channels(draws) -> ChannelMatrix:
-    """Scale and factor ``draws``, ``(raw, norm)`` pairs of one size, as one stack."""
-    raws, norms = map(np.array, zip(*draws))
-    s0 = np.linalg.svd(raws, compute_uv=False)[:, 0]
-    return decompose_channel(raws * (norms / s0)[:, None, None])
+def _oracle_stacks(seed: int, trials: range, max_n: int):
+    """Yield ``(part, channels)`` for oracle trials ``trials``: indices into
+    ``trials`` of one size n and their channels, scaled and factored as one
+    stack of at most ``max(1, ORACLE_STACK_ENTRIES // n**2)``."""
+    sizes, real, imag, norms = _oracle_draws(seed, trials, max_n)
+    for n in sorted(set(sizes.tolist())):
+        same = np.flatnonzero(sizes == n)
+        step = max(1, ORACLE_STACK_ENTRIES // (n * n))
+        for part in (same[lo : lo + step] for lo in range(0, len(same), step)):
+            raws = (real[part, : n * n] + 1j * imag[part, : n * n]).reshape(-1, n, n)
+            s0 = np.linalg.svd(raws, compute_uv=False)[:, 0]
+            yield part, decompose_channel(raws * (norms[part] / s0)[:, None, None])
 
 
 def oracle_channel(seed: int, trial: int, max_n: int = 8) -> ChannelMatrix:
     """The random channel of oracle trial ``trial``: from
     ``substream(seed, trial)``, a square channel of size n in [1, max_n]
     scaled to a spectral norm in [0.05, 0.95]."""
-    return _oracle_channels([_oracle_draw(seed, trial, max_n)])[0]
+    ((_, cm),) = _oracle_stacks(seed, range(trial, trial + 1), max_n)
+    return cm[0]
 
 
 @dataclass(frozen=True)
@@ -374,18 +401,24 @@ class OracleReport:
 
 def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> OracleReport:
     """Run the oracle checks on the channels of trials ``0..trials-1`` of
-    :func:`oracle_channel`, in blocks of :data:`ORACLE_BLOCK` with each size of
-    a block as one stack.  A NaN deviation counts as the largest: it fails."""
+    :func:`oracle_channel`.  Trials are drawn in blocks of
+    ``ORACLE_BLOCK_ENTRIES // max_n**2``, each seeded at once, and the
+    channels of one size in a block are checked in stacks of at most
+    :data:`ORACLE_STACK_ENTRIES` matrix entries, so memory is bounded at any
+    trial count.  A NaN deviation counts as the largest: it fails."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     worst = dict.fromkeys(ORACLE_TOLERANCES, 0.0)
     worst_ratio, worst_trial, worst_n = -1.0, 0, 0
-    for start in range(0, trials, ORACLE_BLOCK):
-        block = range(start, min(trials, start + ORACLE_BLOCK))
-        draws = [_oracle_draw(seed, i, max_n) for i in block]
-        sizes = np.array([len(raw) for raw, _ in draws])
+    per_block = max(1, ORACLE_BLOCK_ENTRIES // (max_n * max_n))
+    for start in range(0, trials, per_block):
+        block = range(start, min(trials, start + per_block))
+        sizes = np.empty(len(block), dtype=int)
         checks = {name: np.empty(len(block)) for name in ORACLE_TOLERANCES}
-        for n in sorted(set(sizes.tolist())):
-            part = np.flatnonzero(sizes == n)
-            cm = _oracle_channels([draws[i] for i in part])
+        for part, cm in _oracle_stacks(seed, block, max_n):
+            sizes[part] = cm.n_rx
             for name, dev in run_oracle_checks(cm, params).items():
                 checks[name][part] = dev
         worst = {name: float(np.max(checks[name], initial=worst[name])) for name in worst}

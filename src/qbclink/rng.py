@@ -5,13 +5,15 @@ seed plus an index path, so draw i of an ensemble produces identical numbers
 no matter the batch size, execution order, or worker count.
 
 :func:`substream` is the reference: ``default_rng(SeedSequence(seed,
-spawn_key=path))``.  :func:`standard_normals` gives the same normals for a
-block of paths at once.  Both of numpy's seeding steps are fixed algorithms
-under its stream-compatibility policy (NEP 19): the ``SeedSequence`` pool is
-O'Neill's ``seed_seq_fe`` hash of 32-bit words, and ``PCG64`` seeds itself
-with two 128-bit LCG steps (O'Neill, HMC-CS-2014-0905).  The block seeder
-runs the hash for every path as ``uint32`` array operations and the LCG steps
-on Python integers, then sets the state of one reused ``PCG64`` per path.
+spawn_key=path))``.  :func:`row_generators` seeds a block of paths at once,
+each row's generator in the state of its substream; :func:`standard_normals`
+draws a block's normals through it.  Both of numpy's seeding steps are fixed
+algorithms under its stream-compatibility policy (NEP 19): the
+``SeedSequence`` pool is O'Neill's ``seed_seq_fe`` hash of 32-bit words, and
+``PCG64`` seeds itself with two 128-bit LCG steps (O'Neill,
+HMC-CS-2014-0905).  The block seeder runs the hash for every path as
+``uint32`` array operations and the LCG steps on Python integers, then sets
+the state of one reused ``PCG64`` per path.
 """
 
 from __future__ import annotations
@@ -97,35 +99,45 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def standard_normals(seed: int, paths, size: int) -> np.ndarray:
-    """The first ``size`` normals of ``substream(seed, *path)`` for each of the
-    ``(B, k)`` ``paths``, one row per path, bit for bit.
+def row_generators(seed: int, paths):
+    """Yield ``(row, generator)`` for each of the ``(B, k)`` ``paths``, the
+    generator in the state ``substream(seed, *paths[row])`` starts in.
 
-    A seed of 2**64 or more, a path word of 2**32 or more, a path longer than
-    16 words, or a ragged or empty ``paths`` takes :func:`substream` itself,
-    as does a negative value, which it rejects.
+    Rows seeded by the block seeder share one reused generator, so take a
+    row's draws before advancing to the next.  A seed of 2**64 or more, a
+    path word of 2**32 or more, a path longer than 16 words, or a ragged or
+    empty ``paths`` takes :func:`substream` itself, as does a negative value,
+    which it rejects.
     """
-    out = np.empty((len(paths), size))
     words = np.array(paths, dtype=object)
-    fast = np.zeros(len(out), dtype=bool)
+    fast = np.zeros(len(paths), dtype=bool)
     if 0 <= seed < 2**64 and words.ndim == 2 and words.shape[1] <= _MAX_PATH_WORDS:
         fast = ((words >= 0) & (words <= _MASK32)).all(axis=1)
-    for i in np.flatnonzero(~fast):
-        substream(seed, *paths[i]).standard_normal(out=out[i])
+    for i in np.flatnonzero(~fast).tolist():
+        yield i, substream(seed, *paths[i])
 
     rows = np.flatnonzero(fast)
     if not rows.size:
-        return out
+        return
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     seeds = _state_words(int(seed), words[rows].astype(np.uint32))
-    for i, (s0, s1, s2, s3) in zip(rows, seeds.tolist()):
+    for i, (s0, s1, s2, s3) in zip(rows.tolist(), seeds.tolist()):
         # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
         # from 0 with initstate added in between
         inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
         lcg = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
         state["state"] = {"state": lcg, "inc": inc}
         bitgen.state = state
+        yield i, gen
+
+
+def standard_normals(seed: int, paths, size: int) -> np.ndarray:
+    """The first ``size`` normals of ``substream(seed, *path)`` for each of the
+    ``(B, k)`` ``paths``, one row per path, bit for bit; seeded, and falling
+    back to :func:`substream`, as :func:`row_generators` says."""
+    out = np.empty((len(paths), size))
+    for i, gen in row_generators(seed, paths):
         gen.standard_normal(out=out[i])
     return out

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,15 @@ from qbclink import (
     quadrature_rep,
     tmss_moments,
 )
-from qbclink import gaussian
+from qbclink import gaussian, rng
 from qbclink.cli import main, run_oracle_checks
-from qbclink.gaussian import ORACLE_BLOCK, ORACLE_TOLERANCES, oracle_channel, run_oracle
+from qbclink.gaussian import (
+    ORACLE_STACK_ENTRIES,
+    ORACLE_TOLERANCES,
+    oracle_channel,
+    run_oracle,
+)
+from qbclink.rng import substream
 
 PARAMS = QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9)
 
@@ -346,12 +355,28 @@ def trial_by_trial(params, trials, seed, max_n):
     return worst, worst_trial, worst_n
 
 
+def small_blocks(monkeypatch, block_entries, stack_entries):
+    """Shrink the oracle's block and stack sizes so a short run crosses both."""
+    monkeypatch.setattr(gaussian, "ORACLE_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(gaussian, "ORACLE_STACK_ENTRIES", stack_entries)
+
+
 @pytest.mark.parametrize(
-    "max_n, trials, seed",
-    [(1, ORACLE_BLOCK + 6, 3), (3, 2 * ORACLE_BLOCK + 5, 4), (8, ORACLE_BLOCK + 37, 5),
-     (8, 7, 6)],
+    "max_n, trials, seed, block_entries, stack_entries",
+    [
+        (1, 70, 3, 2**6, 2**4),  # blocks of 64 trials, stacks of 16
+        (3, 133, 4, 2**8, 2**5),  # blocks of 28; stacks of 32, 8 and 3
+        (8, 101, 5, 2**10, 2**8),  # blocks of 16; a size-8 stack holds 4
+        (8, 7, 6, None, None),
+        (64, 20, 7, None, None),  # blocks of 16; each size above 22 alone
+    ],
+    ids=["1-70-3", "3-133-4", "8-101-5", "8-7-6", "64-20-7"],
 )
-def test_run_oracle_equals_trial_by_trial(max_n, trials, seed):
+def test_run_oracle_equals_trial_by_trial(
+    monkeypatch, max_n, trials, seed, block_entries, stack_entries
+):
+    if block_entries:
+        small_blocks(monkeypatch, block_entries, stack_entries)
     report = run_oracle(PARAMS, trials, seed, max_n)
     worst, worst_trial, worst_n = trial_by_trial(PARAMS, trials, seed, max_n)
     assert report.worst == worst
@@ -363,13 +388,15 @@ def test_worst_trial_is_the_first_of_equal_ratios(monkeypatch):
         return {name: np.full(len(cm), tol / 2) for name, tol in ORACLE_TOLERANCES.items()}
 
     monkeypatch.setattr(gaussian, "run_oracle_checks", constant)
-    report = run_oracle(PARAMS, 2 * ORACLE_BLOCK + 3, 1)
+    small_blocks(monkeypatch, 2**8, 2**6)  # blocks of 4 trials
+    report = run_oracle(PARAMS, 3 * 4 + 3, 1)
     assert report.worst_trial == 0
     assert report.worst_n == oracle_channel(1, 0).n_rx
 
 
 def test_nan_deviation_fails_the_oracle_and_names_its_trial(monkeypatch, capsys):
-    seed, trials, max_n = 2, ORACLE_BLOCK + 10, 4
+    seed, trials, max_n = 2, 74, 4
+    small_blocks(monkeypatch, 2**9, 2**5)  # blocks of 32 trials, stacks of 3 at n = 3
     first = next(i for i in range(trials) if oracle_channel(seed, i, max_n).n_rx == 3)
     real = gaussian.pmimo_interference
 
@@ -388,3 +415,81 @@ def test_nan_deviation_fails_the_oracle_and_names_its_trial(monkeypatch, capsys)
     assert code == 1
     assert "pmimo_max_photon_rel,nan" in lines
     assert lines[-3:] == [f"worst_trial,{first}", "worst_n,3", "ok,false"]
+
+
+@pytest.mark.parametrize("max_n, trials", [(8, 200), (64, 40)])  # 1 block; 3 blocks
+def test_stacks_hold_one_size_within_the_entry_cap(monkeypatch, max_n, trials):
+    stacks = []
+    real = gaussian.run_oracle_checks
+
+    def recording(cm, params):
+        stacks.append((cm.n_rx, len(cm)))
+        return real(cm, params)
+
+    monkeypatch.setattr(gaussian, "run_oracle_checks", recording)
+    run_oracle(PARAMS, trials, 11, max_n)
+    sizes = [oracle_channel(11, i, max_n).n_rx for i in range(trials)]
+    for n, members in stacks:
+        assert members * n * n <= ORACLE_STACK_ENTRIES or members == 1, (n, members)
+    assert Counter(n for n, members in stacks for _ in range(members)) == Counter(sizes)
+    # within a block, each size fills its stacks before it starts another
+    per_block = gaussian.ORACLE_BLOCK_ENTRIES // max_n**2
+    expected = sum(
+        math.ceil(count / max(1, ORACLE_STACK_ENTRIES // n**2))
+        for start in range(0, trials, per_block)
+        for n, count in Counter(sizes[start : start + per_block]).items()
+    )
+    assert len(stacks) == expected
+
+
+@pytest.mark.parametrize(
+    "trials, max_n, message",
+    [(0, 8, "trials must be at least 1, got 0"), (-3, 8, "trials must be at least 1, got -3"),
+     (5, 0, "max_n must be at least 1, got 0")],
+)
+def test_run_oracle_rejects_an_empty_run(trials, max_n, message):
+    with pytest.raises(ValueError) as raised:
+        run_oracle(PARAMS, trials, 1, max_n)
+    assert str(raised.value) == message
+
+
+def substream_draw(seed, trial, max_n):
+    """Oracle trial ``trial``'s size, raw channel and norm, drawn from its own
+    ``substream``."""
+    gen = substream(seed, trial)
+    n = int(gen.integers(1, max_n + 1))
+    raw = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return n, raw, gen.uniform(0.05, 0.95)
+
+
+@pytest.mark.parametrize(
+    "seed, trials",
+    [(0, range(40)), (2**64 - 1, range(5, 45)),
+     (7, range(2**32 - 2, 2**32 + 2)),  # the last two trials take substream itself
+     (2**64, range(3))],  # so does every trial of a seed of 2**64
+    ids=["seed-0", "seed-2^64-1", "trial-2^32", "seed-2^64"],
+)
+@pytest.mark.parametrize("max_n", [1, 8, 64])
+def test_block_seeded_draws_equal_substream_draws(seed, trials, max_n):
+    sizes, real, imag, norms = gaussian._oracle_draws(seed, trials, max_n)
+    for i, trial in enumerate(trials):
+        n, raw, norm = substream_draw(seed, trial, max_n)
+        assert sizes[i] == n
+        block_raw = (real[i, : n * n] + 1j * imag[i, : n * n]).reshape(n, n)
+        assert block_raw.tobytes() == raw.tobytes(), (seed, trial)
+        assert norms[i].tobytes() == np.float64(norm).tobytes()
+
+
+def test_in_range_run_builds_no_substream(monkeypatch):
+    calls = []
+
+    def counting(seed, *path):
+        calls.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(rng, "substream", counting)
+    run_oracle(PARAMS, 100, 2**64 - 1)
+    assert calls == []
+    # the fallback still runs through substream, once per trial
+    oracle_channel(7, 2**32)
+    assert calls == [(2**32,)]
