@@ -19,10 +19,11 @@ evaluated once.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -137,6 +138,13 @@ def deterministic_channel(n: int, rank: int, eta: float) -> ChannelMatrix:
     return decompose_channel(h).require_physical()
 
 
+def _format(values) -> list:
+    """Each value's ``.17g`` text: the one formatter of every sample and
+    probability that the sweep writes."""
+    # .tolist() gives Python floats: the same text as numpy scalars, faster
+    return [f"{value:.17g}" for value in np.asarray(values, dtype=float).tolist()]
+
+
 @dataclass(frozen=True)
 class EnsembleResult:
     """Aggregated mode-gain statistics for one (rank, protocol) point.
@@ -145,7 +153,9 @@ class EnsembleResult:
     pairing needed by :func:`dominance_check`); ``cdf`` is their empirical
     distribution.  Both the mean of the log and the mean of the linear ratio
     are kept, since the fading normalization constrains the latter while
-    figures usually plot the former.
+    figures usually plot the former.  ``sample_text`` is each sample's
+    ``.17g`` text, made by the process that computed it; left out, it is
+    formatted from ``samples``.
     """
 
     rank: int
@@ -158,11 +168,24 @@ class EnsembleResult:
     cdf: EmpiricalCdf
     trials_used: int
     rejected_samples: int
+    sample_text: list | None = None
+
+    def __post_init__(self):
+        if self.sample_text is None:
+            object.__setattr__(self, "sample_text", _format(self.samples))
 
 
-def _aggregate(rank, protocol, linear, rejected) -> EnsembleResult:
-    linear = np.asarray(linear, dtype=float)
+def _ratios(linear: np.ndarray):
+    """A batch's mode ratios as ``(linear, log10, text of the log10)``."""
     logs = np.log10(linear)
+    return linear, logs, _format(logs)
+
+
+def _aggregate(rank, protocol, parts, rejected) -> EnsembleResult:
+    """One point's result from its batches' ``_ratios``, in trial order."""
+    linear, logs, text = zip(*parts)
+    linear = np.concatenate(linear)
+    logs = np.concatenate(logs)
     n = linear.size
 
     def _stderr(x):
@@ -179,12 +202,14 @@ def _aggregate(rank, protocol, linear, rejected) -> EnsembleResult:
         cdf=empirical_cdf(logs),
         trials_used=n,
         rejected_samples=rejected,
+        sample_text=list(chain.from_iterable(text)),
     )
 
 
 def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
     """Evaluate trials [start, stop) of one rank point, ``FADING_BLOCK``
-    trials per stack; order- and boundary-independent."""
+    trials per stack; order- and boundary-independent.  Returns the paired
+    and the eigen ``_ratios`` and the rejection count."""
     fspec = FadingSpec(spec.n_tx, spec.n_rx, rank, spec.reference_rtt, spec.seed)
     baseline = spec.baseline_snr
     paired = np.empty(stop - start)
@@ -197,47 +222,67 @@ def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
         block = slice(lo - start, lo - start + len(trials))
         paired[block] = pmimo_snr(stack, spec.qi) / baseline
         eigen[block] = emimo_snr(stack, spec.qi) / baseline
-    return paired, eigen, rejected
+    return _ratios(paired), _ratios(eigen), rejected
 
 
-def _rank_point(spec: ExperimentSpec, rank: int, workers: int):
-    if spec.channel_kind is ChannelKind.DETERMINISTIC:
-        cm = deterministic_channel(spec.n_tx, rank, spec.reference_rtt)
-        paired = np.array([pmimo_snr(cm, spec.qi, coherent=False) / spec.baseline_snr])
-        eigen = np.array([emimo_snr(cm, spec.qi) / spec.baseline_snr])
-        return paired, eigen, 0
+def _deterministic_point(spec: ExperimentSpec, rank: int) -> list:
+    """A deterministic rank point's one evaluation, as a point of one batch."""
+    cm = deterministic_channel(spec.n_tx, rank, spec.reference_rtt)
+    paired = np.array([pmimo_snr(cm, spec.qi, coherent=False) / spec.baseline_snr])
+    eigen = np.array([emimo_snr(cm, spec.qi) / spec.baseline_snr])
+    return [(_ratios(paired), _ratios(eigen), 0)]
 
-    if workers <= 1:
-        paired, eigen, rejected = _fading_batch(spec, rank, 0, spec.trials)
-    else:
-        bounds = np.unique(np.linspace(0, spec.trials, workers * 4 + 1, dtype=int))
-        bounds = [int(b) for b in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_fading_batch, repeat(spec), repeat(rank), bounds[:-1], bounds[1:])
-            )
-        paired = np.concatenate([p for p, _, _ in parts])
-        eigen = np.concatenate([e for _, e, _ in parts])
-        rejected = sum(r for _, _, r in parts)
 
-    if rejected > REJECTION_ABORT_FRACTION * spec.trials:
-        raise RuntimeError(
-            f"rank {rank}: {rejected} non-physical samples rejected over "
-            f"{spec.trials} trials; reference_rtt={spec.reference_rtt} is "
-            "unrealistically high"
-        )
-    return paired, eigen, rejected
+def _fading_points(spec: ExperimentSpec, workers: int) -> list:
+    """Each rank point's ``_fading_batch`` results, in sweep and trial order.
+
+    Every point is cut into ``4 * workers`` batches.  One pool of
+    ``workers - 1`` children serves the (rank, batch) jobs of the whole
+    sweep, and the calling process runs the first ``len(jobs) // workers``
+    of them meanwhile; with one worker it runs them all and builds no pool.
+    """
+    cuts = 4 * workers
+    bounds = [i * spec.trials // cuts for i in range(cuts + 1)]
+    batches = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    jobs = [(rank, lo, hi) for rank in spec.rank_sweep for lo, hi in batches]
+    own = len(jobs) // workers
+    with contextlib.ExitStack() as stack:
+        theirs = ()
+        if own < len(jobs):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers - 1))
+            # submitted before the caller starts its share, consumed after it
+            theirs = pool.map(_fading_batch, repeat(spec), *zip(*jobs[own:]))
+        parts = [_fading_batch(spec, *job) for job in jobs[:own]]
+        parts.extend(theirs)
+    per_point = len(batches)
+    return [parts[k:k + per_point] for k in range(0, len(parts), per_point)]
 
 
 def run_rank_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     """Run the sweep; returns paired/eigen results per rank, in sweep order.
 
-    ``workers`` only sets the process count; results are identical for any
-    value because every trial owns a substream keyed by (seed, rank, trial).
+    ``workers`` counts the calling process: it runs its share of the fading
+    trials and forks ``workers - 1`` children once per sweep for the rest.
+    Results are identical for any value because every trial owns a substream
+    keyed by (seed, rank, trial).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if spec.channel_kind is ChannelKind.DETERMINISTIC:
+        points = [_deterministic_point(spec, rank) for rank in spec.rank_sweep]
+    else:
+        points = _fading_points(spec, workers)
+
     results = []
-    for rank in spec.rank_sweep:
-        paired, eigen, rejected = _rank_point(spec, rank, workers)
+    for rank, point in zip(spec.rank_sweep, points):
+        paired, eigen, rejected = zip(*point)
+        rejected = sum(rejected)
+        if rejected > REJECTION_ABORT_FRACTION * spec.trials:
+            raise RuntimeError(
+                f"rank {rank}: {rejected} non-physical samples rejected over "
+                f"{spec.trials} trials; reference_rtt={spec.reference_rtt} is "
+                "unrealistically high"
+            )
         results.append(_aggregate(rank, Protocol.PMIMO, paired, rejected))
         results.append(_aggregate(rank, Protocol.EMIMO, eigen, rejected))
     return results
@@ -303,11 +348,9 @@ CDF_HEADER = "rank,protocol,value,cumprob"
 def raw_csv_lines(kind: ChannelKind, results) -> list:
     lines = [RAW_HEADER]
     for res in results:
-        # .tolist() gives Python floats: the same text as numpy scalars, faster
         prefix = f"{kind.value},{res.rank},{res.protocol.value},"
         lines.extend(
-            f"{prefix}{trial},{value:.17g}"
-            for trial, value in enumerate(res.samples.tolist())
+            f"{prefix}{trial},{text}" for trial, text in enumerate(res.sample_text)
         )
     return lines
 
@@ -327,11 +370,15 @@ def cdf_csv_lines(results) -> list:
     # the probabilities are counts over the trial count, alike across blocks:
     # each distinct one is formatted once per call
     probs = [res.cdf.probs.tolist() for res in results]
-    prob_text = {prob: f"{prob:.17g}" for prob in set().union(*probs)}
+    distinct = list(set().union(*probs))
+    prob_text = dict(zip(distinct, _format(distinct)))
     for res, block_probs in zip(results, probs):
         prefix = f"{res.rank},{res.protocol.value},"
+        # each value's text is that of the first sample equal to it
+        _, first = np.unique(res.samples, return_index=True)
+        text = res.sample_text
         lines.extend(
-            f"{prefix}{value:.17g},{prob_text[prob]}"
-            for value, prob in zip(res.cdf.values.tolist(), block_probs)
+            f"{prefix}{text[i]},{prob_text[prob]}"
+            for i, prob in zip(first.tolist(), block_probs, strict=True)
         )
     return lines

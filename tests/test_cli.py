@@ -95,6 +95,24 @@ class TestSweep:
         for name in ("sweep_raw.csv", "sweep_summary.csv", "sweep_cdf.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    @pytest.mark.parametrize("channel", ["double-rayleigh", "deterministic"])
+    def test_csv_bytes_identical_for_any_worker_count(
+        self, capsys, monkeypatch, tmp_path, channel
+    ):
+        # three ranks, so that the caller's share and the children's jobs
+        # both cross a rank boundary of the one pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        args = ["sweep", "--trials", "150", "--seed", "7", "--nt", "4", "--nr", "4",
+                "--ranks", "1,2,4", "--channel", channel]
+        names = ("sweep_raw.csv", "sweep_summary.csv", "sweep_cdf.csv")
+        outputs = []
+        for workers in (1, 2, 3):
+            out_dir = tmp_path / f"w{workers}"
+            argv = args + ["--set", f"workers={workers}", "--out", str(out_dir)]
+            assert run(capsys, argv)[0] == 0
+            outputs.append([(out_dir / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_bad_rank_sweep_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["sweep", "--ranks", "0..9"])
         assert code == 2

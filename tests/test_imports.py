@@ -102,6 +102,15 @@ def test_command_loads_only_the_modules_it_runs(argv, unloaded):
     assert not unloaded & _loaded("from qbclink import cli", argv)
 
 
+def test_pooled_sweep_leaves_numpy_ma_unloaded():
+    # the CLI bounds workers by the CPU count; two must pass on any host
+    imports = "import os\nos.cpu_count = lambda: 2\nfrom qbclink import cli"
+    argv = ["sweep", "--trials", "8", "--ranks", "1,2", "--set", "workers=2"]
+    loaded = _loaded(imports, argv)
+    assert "concurrent.futures.process" in loaded
+    assert "numpy.ma" not in loaded
+
+
 @pytest.mark.parametrize("module, name", [
     (module, name) for module, names in REEXPORTS.items() for name in names
 ])

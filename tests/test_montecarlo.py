@@ -19,10 +19,14 @@ from qbclink import (
     run_rank_sweep,
     sample_double_rayleigh,
 )
+from qbclink import montecarlo
 from qbclink.montecarlo import (
     FADING_BLOCK,
+    EmpiricalCdf,
+    EnsembleResult,
     _aggregate,
     _fading_batch,
+    _ratios,
     cdf_csv_lines,
     raw_csv_lines,
     summary_csv_lines,
@@ -45,6 +49,17 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail any test that builds a process pool in montecarlo."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", NoPool)
 
 
 class TestEmpiricalCdf:
@@ -145,20 +160,35 @@ class TestRankSweep:
         parallel = run_rank_sweep(spec, workers=3)
         for x, y in zip(serial, parallel):
             assert np.array_equal(x.samples, y.samples)
+            assert x.sample_text == y.sample_text
             assert x.rejected_samples == y.rejected_samples
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_any_pool(self, no_pool, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_rank_sweep(small_spec(trials=5), workers=workers)
+
+    def test_one_worker_builds_no_pool(self, no_pool):
+        assert len(run_rank_sweep(small_spec(trials=5), workers=1)) == 6
 
     @pytest.mark.parametrize("reference_rtt", [1e-5, 0.04])
     def test_trial_ranges_and_blocks_do_not_change_results(self, reference_rtt):
         # 0.04 makes most rank-8 draws non-physical at least once
         spec = small_spec(n_tx=8, n_rx=8, rank_sweep=(8,), reference_rtt=reference_rtt)
         n = 2 * FADING_BLOCK + 45
+        # each protocol's part is (linear, log10, text of the log10)
         paired, eigen, rejected = _fading_batch(spec, 8, 0, n)
         for k in (1, FADING_BLOCK - 1, FADING_BLOCK + 1, n - 2):
             head = _fading_batch(spec, 8, 0, k)
             tail = _fading_batch(spec, 8, k, n)
-            assert np.array_equal(paired, np.concatenate([head[0], tail[0]]))
-            assert np.array_equal(eigen, np.concatenate([head[1], tail[1]]))
+            for whole, first, second in zip((paired, eigen), head, tail):
+                assert np.array_equal(whole[0], np.concatenate([first[0], second[0]]))
+                assert np.array_equal(whole[1], np.concatenate([first[1], second[1]]))
+                assert whole[2] == first[2] + second[2]
             assert rejected == head[2] + tail[2]
+        for linear, logs, text in (paired, eigen):
+            assert np.array_equal(logs, np.log10(linear))
+            assert text == [f"{value:.17g}" for value in logs.tolist()]
 
         fspec = FadingSpec(8, 8, 8, reference_rtt, spec.seed)
         rejections = 0
@@ -166,8 +196,8 @@ class TestRankSweep:
             one, (rej,) = sample_double_rayleigh(fspec, [(8, t)])
             cm = one[0]
             rejections += rej
-            assert paired[t] == pmimo_snr(cm, spec.qi) / spec.baseline_snr
-            assert eigen[t] == emimo_snr(cm, spec.qi) / spec.baseline_snr
+            assert paired[0][t] == pmimo_snr(cm, spec.qi) / spec.baseline_snr
+            assert eigen[0][t] == emimo_snr(cm, spec.qi) / spec.baseline_snr
         assert rejected == rejections
         assert (rejected > n) == (reference_rtt == 0.04)
 
@@ -248,6 +278,38 @@ class TestCsvSchemas:
         assert len(raw) == 1 + 6 * 25
         assert len(summary) == 1 + 6
 
+    def test_each_sample_is_formatted_once(self, monkeypatch):
+        formatted = []
+        real = montecarlo._format
+
+        def counted(values):
+            text = real(values)
+            formatted.extend(text)
+            return text
+
+        monkeypatch.setattr(montecarlo, "_format", counted)
+        spec = small_spec(trials=25)
+        results = run_rank_sweep(spec)
+        assert len(formatted) == 6 * 25
+        raw_csv_lines(spec.channel_kind, results)
+        assert len(formatted) == 6 * 25
+        cdf_csv_lines(results)
+        distinct_probs = set().union(*(res.cdf.probs.tolist() for res in results))
+        assert len(formatted) == 6 * 25 + len(distinct_probs)
+
+    def test_hand_built_result_formats_its_samples(self):
+        samples = np.log10([0.5, 2.0, 2.0])
+        res = EnsembleResult(
+            rank=1, protocol=Protocol.PMIMO, mean_log_gain=0.0, stderr=0.0,
+            mean_linear_gain=1.5, stderr_linear=0.0, samples=samples,
+            cdf=EmpiricalCdf(np.unique(samples), np.array([1 / 3, 1.0])),
+            trials_used=3, rejected_samples=0,
+        )
+        assert res.sample_text == [f"{value:.17g}" for value in samples.tolist()]
+        assert raw_csv_lines(ChannelKind.DOUBLE_RAYLEIGH, [res])[1:] == [
+            f"double-rayleigh,1,pmimo,{t},{value:.17g}" for t, value in enumerate(samples)
+        ]
+
     def test_rows_parse_back_losslessly(self):
         spec = small_spec(trials=10)
         results = run_rank_sweep(spec)
@@ -279,9 +341,12 @@ class TestCsvSchemas:
             rng.lognormal(size=40),
             rng.lognormal(size=7),  # another trial count: other probabilities
         ]
+        # as one batch, and as three, so that equal samples fall in different
+        # batches
         results = [
-            _aggregate(rank, protocol, linear, 0)
+            _aggregate(rank, protocol, parts, 0)
             for rank, linear in enumerate(gains, start=1)
+            for parts in ([_ratios(linear)], [_ratios(b) for b in np.array_split(linear, 3)])
             for protocol in Protocol
         ]
         results += run_rank_sweep(small_spec(trials=30))
