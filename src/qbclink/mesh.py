@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -29,12 +30,6 @@ INPUT_UNITARITY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-10
 _TWO_PI = 2.0 * np.pi
 _ANGLE_SLACK = 1e-12  # mixing angles may overshoot [0, pi/2] by this much
-
-
-def _block(theta: float, phi: float) -> np.ndarray:
-    """``T(theta, phi)``; ``math`` scalars are bit-equal to numpy's here."""
-    c, s, ph = math.cos(theta), math.sin(theta), complex(math.cos(phi), math.sin(phi))
-    return np.array([[ph * c, -s], [ph * s, c]])
 
 
 @dataclass(frozen=True)
@@ -56,8 +51,11 @@ class MeshElement:
             raise ValueError(f"phase must be finite, got {self.phase}")
 
     def block(self) -> np.ndarray:
-        """The 2x2 coupler matrix in the fixed convention."""
-        return _block(self.mixing_angle, self.phase)
+        """The 2x2 coupler matrix in the fixed convention (``math`` scalars
+        are bit-equal to numpy's here)."""
+        c, s = math.cos(self.mixing_angle), math.sin(self.mixing_angle)
+        ph = complex(math.cos(self.phase), math.sin(self.phase))
+        return np.array([[ph * c, -s], [ph * s, c]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,53 +104,58 @@ class BeamSplitterMesh:
                          self.mixing_angles.tolist(), self.phases.tolist()))
 
 
-def element_unitary(element: MeshElement, dimension: int) -> np.ndarray:
-    """Embed a coupler as an ``N x N`` unitary (identity off its port pair)."""
-    full = np.eye(dimension, dtype=complex)
-    i = element.port
-    full[i : i + 2, i : i + 2] = element.block()
-    return full
-
-
 def reconstruct(mesh: BeamSplitterMesh) -> np.ndarray:
     """Multiply out a mesh: elements in application order, phases last.
 
     Couplers on disjoint port pairs commute exactly, so each coupler joins
     the first layer after every earlier coupler sharing one of its ports, and
-    one batched product applies a whole layer.  Each row sees the same
+    one batched product applies a whole layer.  A layer whose ports run
+    ``p, p+2, ..., p+2(k-1)`` (every layer of a Clements mesh) covers rows
+    ``p .. p+2k-1`` and is applied through a view of them; any other layer
+    gathers and scatters its rows.  Either way each row sees the same
     operations in the same order as in a coupler-by-coupler product, so the
     result is bit-identical to it, at O(N^3) cost.
     """
-    depth = [0] * (mesh.dimension + 1)
+    n = mesh.dimension
+    depth = [0] * (n + 1)
     layer = []
     for p in mesh.ports.tolist():
         d = depth[p] if depth[p] > depth[p + 1] else depth[p + 1]
         depth[p] = depth[p + 1] = d + 1
         layer.append(d)
-    layer = np.array(layer, dtype=int)
-    order = layer.argsort(kind="stable")
+    order = np.lexsort((mesh.ports, layer))
     theta, ph = mesh.mixing_angles[order], np.exp(1j * mesh.phases[order])
     c, s = np.cos(theta), np.sin(theta)
     blocks = np.empty((len(order), 2, 2), dtype=complex)
     blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1] = ph * c, -s, ph * s, c
-    rows = mesh.ports[order, None] + np.arange(2)
-    u = np.eye(mesh.dimension, dtype=complex)
-    bounds = [0, *np.bincount(layer, minlength=1).cumsum().tolist()]
+    ports = mesh.ports[order]
+    sorted_ports = ports.tolist()
+    u = np.eye(n, dtype=complex)
+    bounds = [0, *np.bincount(layer).cumsum().tolist()]
     for start, stop in zip(bounds, bounds[1:]):
-        u[rows[start:stop]] = blocks[start:stop] @ u[rows[start:stop]]
+        p, k = sorted_ports[start], stop - start
+        if sorted_ports[stop - 1] - p == 2 * (k - 1):  # sorted ports of a layer step by >= 2
+            rows = u[p : p + 2 * k].reshape(k, 2, n)
+            rows[...] = blocks[start:stop] @ rows
+        else:
+            rows = ports[start:stop, None] + np.arange(2)
+            u[rows] = blocks[start:stop] @ u[rows]
     return np.exp(1j * mesh.output_phases)[:, None] * u
 
 
-def _solve(x: complex, y: complex):
+def _solve(x: complex, y: complex, ys, xs, out):
     """Angles of the coupler whose mix of ``(x, y)`` nulls ``x``: its entry
-    ``x e^{-i phi} cos(theta) - y sin(theta)`` vanishes."""
+    ``x e^{-i phi} cos(theta) - y sin(theta)`` vanishes.  ``ys``, ``xs`` and
+    ``out`` are length-3 float buffers reused across calls."""
     ax, ay = abs(x), abs(y)
     if ax == 0.0:
         return 0.0, 0.0
     if ay == 0.0:
         return np.pi / 2, 0.0
     # numpy's arctan2 is not math.atan2 bit for bit; one call for all three
-    theta, arg_x, arg_y = np.arctan2((ax, x.imag, y.imag), (ay, x.real, y.real)).tolist()
+    ys[0], ys[1], ys[2] = ax, x.imag, y.imag  # entry by entry: cheaper than a slice
+    xs[0], xs[1], xs[2] = ay, x.real, y.real
+    theta, arg_x, arg_y = np.arctan2(ys, xs, out=out).tolist()
     return theta, (arg_x - arg_y) % _TWO_PI
 
 
@@ -178,6 +181,12 @@ def clements_decompose(u: np.ndarray) -> BeamSplitterMesh:
     BeamSplitterMesh
         Mesh whose reconstruction matches ``u`` to about 1e-10 max-entry.
     """
+    return _decompose(u)[0]
+
+
+def _decompose(u) -> tuple[BeamSplitterMesh, float]:
+    """``clements_decompose`` plus its self-check's max-entry gap
+    ``max|reconstruct(mesh) - u|``."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NonUnitaryInputError(float("inf"))
@@ -191,23 +200,35 @@ def clements_decompose(u: np.ndarray) -> BeamSplitterMesh:
     # mixes, applied to work as T†, then the commuted row mixes) and of the
     # row mixes T in sweep order
     couplers, left = [], []
+    # reused per coupler: arctan2's inputs and output, and the 2x2 block
+    bufs = np.empty(3), np.empty(3), np.empty(3)
+    flat = np.empty(4, dtype=complex)
+    blk = flat.reshape(2, 2)
 
     for i in range(1, n):
         if i % 2 == 1:
             for j in range(i):
                 col = i - 1 - j
-                a, b = work[n - 1 - j, col : col + 2].tolist()
-                theta, phi = _solve(a, b)
-                work[:, col : col + 2] = work[:, col : col + 2] @ _block(theta, phi).conj().T
+                theta, phi = _solve(work.item(n - 1 - j, col), work.item(n - 1 - j, col + 1),
+                                    *bufs)
+                c, s, ph = math.cos(theta), math.sin(theta), complex(math.cos(phi), math.sin(phi))
+                # T† entry by entry, with the signed zeros of T's block().conj().T
+                flat[0], flat[1] = (ph * c).conjugate(), (ph * s).conjugate()
+                flat[2], flat[3] = complex(-s, -0.0), complex(c, -0.0)
+                cols = work[:, col : col + 2]
+                cols[...] = cols @ blk
                 couplers.append((col, theta, phi))
         else:
             for j in range(1, i + 1):
                 row = n + j - i - 1
-                a, b = work[row - 1 : row + 1, j - 1].tolist()
+                a, b = work.item(row - 1, j - 1), work.item(row, j - 1)
                 # T puts e^{i phi} sin(theta) a + cos(theta) b in row r: it nulls b
                 # with the angles that null -b against a
-                theta, phi = _solve(-b, a)
-                work[row - 1 : row + 1] = _block(theta, phi) @ work[row - 1 : row + 1]
+                theta, phi = _solve(-b, a, *bufs)
+                c, s, ph = math.cos(theta), math.sin(theta), complex(math.cos(phi), math.sin(phi))
+                flat[0], flat[1], flat[2], flat[3] = ph * c, -s, ph * s, c
+                rows = work[row - 1 : row + 1]
+                rows[...] = blk @ rows
                 left.append((row - 1, theta, phi))
 
     # work is now diagonal: L_q ... L_1 U T_1† ... T_p† = D.  Rebuild
@@ -237,17 +258,16 @@ def clements_decompose(u: np.ndarray) -> BeamSplitterMesh:
             f"mesh decomposition failed to reconstruct its input "
             f"(residual {gap:.3e})"
         )
-    return mesh
+    return mesh, gap
 
 
 def mesh_to_text(mesh: BeamSplitterMesh) -> str:
     """Serialize: dimension line, one ``port theta phi`` line per element,
     then a line of output phases."""
-    lines = [str(mesh.dimension)]
-    lines += [f"{p} {theta:.17g} {phi:.17g}" for p, theta, phi in zip(
-        mesh.ports.tolist(), mesh.mixing_angles.tolist(), mesh.phases.tolist())]
-    lines.append(" ".join(f"{p:.17g}" for p in mesh.output_phases.tolist()))
-    return "\n".join(lines) + "\n"
+    body = "%d %.17g %.17g\n" * len(mesh.ports) % tuple(chain.from_iterable(zip(
+        mesh.ports.tolist(), mesh.mixing_angles.tolist(), mesh.phases.tolist())))
+    phases = " ".join(f"{p:.17g}" for p in mesh.output_phases.tolist())
+    return f"{mesh.dimension}\n{body}{phases}\n"
 
 
 def mesh_from_text(text: str) -> BeamSplitterMesh:

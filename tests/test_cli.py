@@ -206,6 +206,23 @@ class TestDecompose:
         assert code == 0
         assert float(out.splitlines()[0].split(",")[1]) <= 1e-10
 
+    def test_mesh_is_multiplied_out_once(self, capsys, tmp_path, monkeypatch):
+        from qbclink import mesh
+
+        rebuilt = []
+        real = mesh.reconstruct
+        monkeypatch.setattr(mesh, "reconstruct", lambda m: rebuilt.append(real(m)) or rebuilt[-1])
+        rng = np.random.default_rng(9)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        matrix_file = tmp_path / "u8.txt"
+        io.write_matrix(matrix_file, u)
+        code, out, _ = run(capsys, ["decompose", str(matrix_file)])
+        assert code == 0
+        assert len(rebuilt) == 1
+        # the residual line is the self-check's own gap
+        gap = np.max(np.abs(rebuilt[0] - io.read_matrix(matrix_file)))
+        assert out.splitlines()[0] == f"residual,{gap:.17g}"
+
     def test_non_unitary_exits_nonzero_with_residual(self, capsys, tmp_path):
         matrix_file = tmp_path / "bad.txt"
         io.write_matrix(matrix_file, np.ones((3, 3), dtype=complex))

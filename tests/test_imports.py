@@ -29,7 +29,7 @@ REEXPORTS = {
     ],
     "gaussian": ["GaussianState", "emimo_setup", "pmimo_setup", "propagate", "quadrature_rep"],
     "mesh": [
-        "BeamSplitterMesh", "MeshElement", "clements_decompose", "element_unitary",
+        "BeamSplitterMesh", "MeshElement", "clements_decompose",
         "mesh_from_text", "mesh_to_text", "reconstruct", "unitarity_residual",
     ],
     "montecarlo": [
