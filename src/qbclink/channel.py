@@ -126,30 +126,18 @@ def round_trip_transmissivity(lb: LinkBudget) -> float:
     return float(eta)
 
 
-@dataclass(frozen=True)
-class SteeringGeometry:
-    """Uniform linear array geometry for one arrival/departure direction.
+def steering_vector(element_count: int, spacing: float, direction_cosine: float) -> np.ndarray:
+    """Unit-norm uniform linear array response ``(1, e^{i 2 pi d w}, ...) / sqrt(N)``.
 
-    ``spacing`` is the element spacing in carrier wavelengths and
-    ``direction_cosine`` is cos(theta) for the angle between the array axis
-    and the propagation direction.
+    ``spacing`` is the element spacing d in carrier wavelengths and
+    ``direction_cosine`` is w = cos(theta) for the angle between the array
+    axis and the propagation direction.
     """
-
-    element_count: int
-    spacing: float
-    direction_cosine: float
-
-    def __post_init__(self):
-        if self.element_count < 1:
-            raise ValueError(f"element_count must be >= 1, got {self.element_count}")
-        _check_cosine(self.direction_cosine)
-
-
-def steering_vector(geometry: SteeringGeometry) -> np.ndarray:
-    """Unit-norm array response ``(1, e^{i 2 pi d w}, ...) / sqrt(N)``."""
-    n = geometry.element_count
-    phase_step = 2.0 * np.pi * geometry.spacing * geometry.direction_cosine
-    return np.exp(1j * phase_step * np.arange(n)) / np.sqrt(n)
+    if element_count < 1:
+        raise ValueError(f"element_count must be >= 1, got {element_count}")
+    _check_cosine(direction_cosine)
+    phase_step = 2.0 * np.pi * spacing * direction_cosine
+    return np.exp(1j * phase_step * np.arange(element_count)) / np.sqrt(element_count)
 
 
 @dataclass(frozen=True)
@@ -352,6 +340,22 @@ def decompose_channel(h: np.ndarray) -> ChannelMatrix:
     return cm
 
 
+def _path_sum(paths, spacing: float, out, in_) -> np.ndarray:
+    """``sum_p sqrt(eta_p) e^{-i phi_p} a_p b_p†`` over ``paths``, in order.
+
+    ``out`` and ``in_`` are each ``(element_count, field)``: ``a_p`` is the
+    steering vector of the ``out`` array toward path p's direction cosine in
+    that field, and ``b_p`` that of the ``in_`` array.
+    """
+    (n_out, out_field), (n_in, in_field) = out, in_
+    h = np.zeros((n_out, n_in), dtype=complex)
+    for p in paths:
+        a = steering_vector(n_out, spacing, getattr(p, out_field))
+        b = steering_vector(n_in, spacing, getattr(p, in_field))
+        h += np.sqrt(p.transmissivity) * np.exp(-1j * p.phase) * np.outer(a, b.conj())
+    return h
+
+
 def build_two_path_channel(paths, spacing: float) -> ChannelMatrix:
     """Two-antenna channel as a sum of rank-one steering-vector products.
 
@@ -362,11 +366,7 @@ def build_two_path_channel(paths, spacing: float) -> ChannelMatrix:
     paths = list(paths)
     if len(paths) != 2:
         raise ValueError(f"expected exactly two paths, got {len(paths)}")
-    h = np.zeros((2, 2), dtype=complex)
-    for p in paths:
-        rx = steering_vector(SteeringGeometry(2, spacing, p.rx_cosine))
-        tx = steering_vector(SteeringGeometry(2, spacing, p.tx_cosine))
-        h += np.sqrt(p.transmissivity) * np.exp(-1j * p.phase) * np.outer(rx, tx.conj())
+    h = _path_sum(paths, spacing, (2, "rx_cosine"), (2, "tx_cosine"))
     return decompose_channel(h).require_physical()
 
 
@@ -384,18 +384,8 @@ def build_clutter_channel(
     if not tx_paths or not rx_paths:
         raise ValueError("both clutter path lists must be non-empty")
 
-    h_t = np.zeros((n_tag, n_tx), dtype=complex)
-    for p in tx_paths:
-        tag = steering_vector(SteeringGeometry(n_tag, spacing, p.tag_cosine))
-        far = steering_vector(SteeringGeometry(n_tx, spacing, p.far_cosine))
-        h_t += np.sqrt(p.transmissivity) * np.exp(-1j * p.phase) * np.outer(tag, far.conj())
-
-    h_r = np.zeros((n_rx, n_tag), dtype=complex)
-    for p in rx_paths:
-        far = steering_vector(SteeringGeometry(n_rx, spacing, p.far_cosine))
-        tag = steering_vector(SteeringGeometry(n_tag, spacing, p.tag_cosine))
-        h_r += np.sqrt(p.transmissivity) * np.exp(-1j * p.phase) * np.outer(far, tag.conj())
-
+    h_t = _path_sum(tx_paths, spacing, (n_tag, "tag_cosine"), (n_tx, "far_cosine"))
+    h_r = _path_sum(rx_paths, spacing, (n_rx, "far_cosine"), (n_tag, "tag_cosine"))
     return decompose_channel(h_r @ h_t).require_physical()
 
 

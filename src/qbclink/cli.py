@@ -204,14 +204,14 @@ _LINK_BUDGET_KEYS = (
 
 _CLUTTER_FIELDS = ("eta", "phase", "omega_b", "omega")
 _CHANNEL_KEYS = (
-    Key("nt", int, flag="--nt"),
-    Key("nr", int, flag="--nr"),
+    Key("nt", _count, flag="--nt"),
+    Key("nr", _count, flag="--nr"),
     Key("eta", float, flag="--eta"),
     Key("seed", _seed, flag="--seed"),
     Key("ns", float, flag="--ns"),
     Key("nz", float, flag="--nz"),
     Key("kind", str, help="channel kind: two_path, clutter, fading", flag="--channel"),
-    Key("nb", int),
+    Key("nb", _count),
     Key("spacing", float),
     Key("draw", _integer(0), 0),
     Key("modes", float, 1e9),
@@ -240,8 +240,8 @@ _BER_KEYS = (
 )
 
 _SWEEP_KEYS = (
-    Key("nt", int, 8, flag="--nt"),
-    Key("nr", int, 8, flag="--nr"),
+    Key("nt", _count, 8, flag="--nt"),
+    Key("nr", _count, 8, flag="--nr"),
     Key("ranks", _parse_ranks, help="'a..b' or comma list", flag="--ranks"),
     Key("eta", float, 1e-5, flag="--eta"),
     Key("ns", float, 0.01, flag="--ns"),
@@ -284,7 +284,8 @@ def cmd_link_budget(args) -> int:
 
     cfg = _merge_config(args, _LINK_BUDGET_KEYS)
     # the table lists the LinkBudget fields in order
-    eta = round_trip_transmissivity(LinkBudget(*(cfg[k.name] for k in _LINK_BUDGET_KEYS)))
+    budget = _spec(LinkBudget, *(cfg[k.name] for k in _LINK_BUDGET_KEYS))
+    eta = round_trip_transmissivity(budget)
     print(f"eta,{eta:.17g}")
     if args.out:
         _write_lines(args.out, ["eta", f"{eta:.17g}"])
@@ -366,8 +367,9 @@ def cmd_ber(args) -> int:
     m_min = cfg["m_min"]
     m_max = cfg["m_max"]
     m_points = cfg["m_points"]
-    if m_min <= 0 or m_max < m_min or m_points < 1:
-        raise ConfigError("need 0 < m_min <= m_max and m_points >= 1")
+    # written as "not within", so that a NaN fails
+    if not 0 < m_min <= m_max < np.inf or m_points < 1:
+        raise ConfigError("need 0 < m_min <= m_max < inf and m_points >= 1")
 
     receivers = [cfg["receiver"]] if "receiver" in cfg else list(qi.Receiver)
     grid = np.logspace(np.log10(m_min), np.log10(m_max), m_points)

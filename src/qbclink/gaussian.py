@@ -31,7 +31,6 @@ from .qi import QiParams, _square_matrix, pmimo_interference, tmss_moments
 from .rng import row_generators
 
 COMMUTATOR_TOL = 1e-9
-PHYSICALITY_TOL = 1e-9
 # Matrix entries the oracle draws per block (ORACLE_BLOCK_ENTRIES // max_n**2
 # trials) and checks per stack of one channel size; both bound its memory.
 ORACLE_BLOCK_ENTRIES = 2**16
@@ -64,11 +63,6 @@ def _block2(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     out[..., r:, :c] = bottom_left
     out[..., r:, c:] = bottom_right
     return out
-
-
-def _symplectic_form(n: int) -> np.ndarray:
-    zeros = np.zeros((n, n))
-    return _block2(zeros, np.eye(n), -np.eye(n), zeros)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class GaussianState:
         return cls(mean=np.zeros(2 * n), cov=_block2(vxx, vxp, vxp.T, vpp))
 
     @classmethod
-    def tmss_pairs(cls, n_signal: float, pairs: int, total_modes: int, links):
+    def tmss_pairs(cls, n_signal: float, total_modes: int, links):
         """Product state of two-mode squeezed pairs embedded in a register.
 
         ``links`` is a sequence of ``(signal_mode, idler_mode)`` index pairs;
@@ -127,9 +121,6 @@ class GaussianState:
         moments = tmss_moments(n_signal)
         c = np.zeros((total_modes, total_modes), dtype=complex)
         g = np.zeros((total_modes, total_modes), dtype=complex)
-        links = list(links)
-        if len(links) != pairs:
-            raise ValueError(f"expected {pairs} links, got {len(links)}")
         for sig, idl in links:
             c[sig, sig] = moments.signal_mean_photons
             c[idl, idl] = moments.idler_mean_photons
@@ -168,17 +159,6 @@ class GaussianState:
         """Complex amplitudes ``<a_j>``."""
         n = self.mode_count
         return (self.mean[..., :n] + 1j * self.mean[..., n:]) / np.sqrt(2.0)
-
-    def validate(self, tol: float = PHYSICALITY_TOL) -> None:
-        """Check symmetry and the uncertainty bound ``cov + i Omega / 2 >= 0``."""
-        if self.cov.shape != (2 * self.mode_count,) * 2:
-            raise ValueError("covariance shape does not match the mean vector")
-        if np.max(np.abs(self.cov - self.cov.T)) > tol:
-            raise ValueError("covariance matrix is not symmetric")
-        test = self.cov + 0.5j * _symplectic_form(self.mode_count)
-        lowest = float(np.linalg.eigvalsh(test).min())
-        if lowest < -tol:
-            raise ValueError(f"state violates the uncertainty bound by {-lowest:.3e}")
 
 
 def propagate(
@@ -256,10 +236,7 @@ def emimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     n_tx, n_rx = cm.n_tx, cm.n_rx
     lead, eye = cm.matrix.shape[:-2], np.eye(n_rx)
     state = GaussianState.tmss_pairs(
-        params.n_signal,
-        pairs=r,
-        total_modes=n_tx + r,
-        links=[(k, n_tx + k) for k in range(r)],
+        params.n_signal, total_modes=n_tx + r, links=[(k, n_tx + k) for k in range(r)]
     )
     branch_map = _dagger(cm.u) @ (symbol * cm.matrix) @ cm.v
     signal_map = np.zeros(lead + (n_rx + r, n_tx + r), dtype=complex)
@@ -282,10 +259,7 @@ def pmimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     h = _square_matrix(cm)
     n, lead = cm.n_tx, h.shape[:-2]
     state = GaussianState.tmss_pairs(
-        params.n_signal,
-        pairs=n,
-        total_modes=2 * n,
-        links=[(k, n + k) for k in range(n)],
+        params.n_signal, total_modes=2 * n, links=[(k, n + k) for k in range(n)]
     )
     signal_map = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
     signal_map[..., :n, :n] = symbol * h

@@ -79,12 +79,12 @@ class QiParams:
     receiver: Receiver = Receiver.ZHUANG
 
     def __post_init__(self):
-        if self.n_signal <= 0:
-            raise ValueError(f"n_signal must be positive, got {self.n_signal}")
-        if self.n_thermal <= 0:
-            raise ValueError(f"n_thermal must be positive, got {self.n_thermal}")
-        if self.modes <= 0:
-            raise ValueError(f"modes must be positive, got {self.modes}")
+        for name in ("n_signal", "n_thermal", "modes"):
+            value = getattr(self, name)
+            # written as "not within (0, inf)", so that a NaN fails
+            if not 0.0 < value < np.inf:
+                bound = "positive" if value <= 0 else "finite"
+                raise ValueError(f"{name} must be {bound}, got {value}")
         if self.n_signal >= 1 or self.n_thermal <= 1:
             warnings.warn(
                 "outside the quantum-illumination operating point "

@@ -16,7 +16,6 @@ from qbclink import (
     NonPhysicalLinkError,
     PropagationPath,
     SPEED_OF_LIGHT,
-    SteeringGeometry,
     build_clutter_channel,
     build_two_path_channel,
     decompose_channel,
@@ -104,15 +103,15 @@ class TestLinkBudget:
 
 class TestSteeringVector:
     def test_single_element(self):
-        v = steering_vector(SteeringGeometry(1, 0.5, 0.3))
+        v = steering_vector(1, 0.5, 0.3)
         assert np.allclose(v, [1.0])
 
     def test_broadside_two_elements(self):
-        v = steering_vector(SteeringGeometry(2, 0.5, 0.0))
+        v = steering_vector(2, 0.5, 0.0)
         assert np.allclose(v, np.array([1.0, 1.0]) / np.sqrt(2))
 
     def test_endfire_four_elements(self):
-        v = steering_vector(SteeringGeometry(4, 0.5, 1.0))
+        v = steering_vector(4, 0.5, 1.0)
         assert np.allclose(v, np.array([1.0, -1.0, 1.0, -1.0]) / 2.0)
 
     @given(
@@ -121,14 +120,14 @@ class TestSteeringVector:
         cosine=st.floats(-1.0, 1.0),
     )
     def test_unit_norm_always(self, n, spacing, cosine):
-        v = steering_vector(SteeringGeometry(n, spacing, cosine))
+        v = steering_vector(n, spacing, cosine)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
-            SteeringGeometry(0, 0.5, 0.0)
+            steering_vector(0, 0.5, 0.0)
         with pytest.raises(ValueError):
-            SteeringGeometry(2, 0.5, 1.5)
+            steering_vector(2, 0.5, 1.5)
 
 
 def _two_path_matrix(paths, spacing):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -59,6 +60,16 @@ class TestLinkBudget:
         )
         assert code_base == code_override == 0
         assert float(out_override.split(",")[1]) == float(out_base.split(",")[1]) / 4
+
+    def test_transmissivity_above_one_is_runtime_failure(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["link-budget", "--g", "1e6", "--omega", "299792458",
+             "--sigma-q", str(16 * math.pi), "--rt", "1", "--rr", "1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "exceeds 1" in err
 
 
 class TestSweep:
@@ -285,6 +296,62 @@ class TestBer:
         assert float(row[3]) == pytest.approx(1e-3, rel=1e-12)
 
 
+# stdout and --out matrix sha256 of steered channels: a two-path channel with a
+# protocol report, and a clutter channel with n_tx != n_rx
+CHANNEL_PINS = {
+    "two_path": (
+        "kind = two_path\n"
+        "spacing = 0.5\n"
+        "eta = 1e-5\n"
+        "ns = 0.01\n"
+        "nz = 100\n"
+        "paths[0].eta = 0.04\n"
+        "paths[0].phase = 0.3\n"
+        "paths[0].omega_r = 0.2\n"
+        "paths[0].omega_t = -0.5\n"
+        "paths[1].eta = 0.09\n"
+        "paths[1].phase = 1.7\n"
+        "paths[1].omega_r = 0.9\n"
+        "paths[1].omega_t = 0.6\n",
+        "5adc5272558194d22eac6920b8f5422e69865d0c56c88dc12d5b3e0fce24e80d",
+        "81b1b2147443479ef199754f4d9a59d3527efa8053723721e22dc2e6dc2db3b1",
+    ),
+    "clutter": (
+        "kind = clutter\n"
+        "spacing = 0.5\n"
+        "nt = 5\n"
+        "nb = 3\n"
+        "nr = 4\n"
+        "tx_paths[0].eta = 0.3\n"
+        "tx_paths[0].phase = 0.1\n"
+        "tx_paths[0].omega_b = 0.2\n"
+        "tx_paths[0].omega = -0.4\n"
+        "tx_paths[1].eta = 0.2\n"
+        "tx_paths[1].phase = 2.1\n"
+        "tx_paths[1].omega_b = -0.7\n"
+        "tx_paths[1].omega = 0.5\n"
+        "tx_paths[2].eta = 0.1\n"
+        "tx_paths[2].phase = -1.2\n"
+        "tx_paths[2].omega_b = 0.9\n"
+        "tx_paths[2].omega = 0.05\n"
+        "rx_paths[0].eta = 0.25\n"
+        "rx_paths[0].phase = 0.4\n"
+        "rx_paths[0].omega_b = 0.2\n"
+        "rx_paths[0].omega = 0.8\n"
+        "rx_paths[1].eta = 0.15\n"
+        "rx_paths[1].phase = -2.5\n"
+        "rx_paths[1].omega_b = -0.7\n"
+        "rx_paths[1].omega = -0.3\n"
+        "rx_paths[2].eta = 0.05\n"
+        "rx_paths[2].phase = 3.0\n"
+        "rx_paths[2].omega_b = 0.9\n"
+        "rx_paths[2].omega = 0.45\n",
+        "9a640b5adfb2ffa9e8ee411fb13d7fa0be8e671ecf259d44c7873377d498e12a",
+        "b431462e9a13cd7d90cd0f66b685c3215132d02fe2e9e5fd83f03ff3eaf776de",
+    ),
+}
+
+
 class TestChannelCommand:
     def test_fading_channel_writes_matrix(self, capsys, tmp_path):
         cfg = tmp_path / "f.cfg"
@@ -365,6 +432,16 @@ class TestChannelCommand:
         assert code == 2
         assert out == ""
         assert err == "error: path transmissivity must lie in [0, 1], got 2.0\n"
+
+    @pytest.mark.parametrize("name", sorted(CHANNEL_PINS))
+    def test_steered_channel_bytes_pinned(self, capsys, tmp_path, name):
+        text, out_sha, matrix_sha = CHANNEL_PINS[name]
+        cfg, out_file = tmp_path / "c.cfg", tmp_path / "h.txt"
+        cfg.write_text(text)
+        code, out, _ = run(capsys, ["channel", "--config", str(cfg), "--out", str(out_file)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == matrix_sha
 
 
 class TestOracleCommand:
@@ -455,8 +532,9 @@ def test_largest_seed_accepted(capsys, command):
     assert code == 0
 
 
-# a draw or trial count out of its range, the key named, and the command's first
-# work (oracle counts: TestOracleCommand)
+CLUTTER = ["channel", "--config", "clutter.cfg"]  # CHANNEL_PINS' clutter config
+# a draw, trial count or array size out of its range, the key named, and the
+# command's first work (oracle counts: TestOracleCommand)
 BOUNDED_COUNTS = {
     "channel-draw": (FADING_CHANNEL + ["--seed", "3", "--set", "draw=-1"], "draw",
                      "qbclink.channel.sample_double_rayleigh"),
@@ -464,17 +542,28 @@ BOUNDED_COUNTS = {
                             "qbclink.montecarlo.run_rank_sweep"),
     "sweep-deterministic-trials": (["sweep", "--channel", "deterministic", "--trials", "-2"],
                                    "trials", "qbclink.montecarlo.run_rank_sweep"),
+    "clutter-nt": (CLUTTER + ["--nt", "0"], "nt", "qbclink.channel.build_clutter_channel"),
+    "clutter-nr": (CLUTTER + ["--nr", "-1"], "nr", "qbclink.channel.build_clutter_channel"),
+    "clutter-nb": (CLUTTER + ["--set", "nb=0"], "nb", "qbclink.channel.build_clutter_channel"),
+    "fading-nt": (FADING_CHANNEL + ["--nt", "0"], "nt", "qbclink.channel.sample_double_rayleigh"),
+    "fading-nb": (FADING_CHANNEL + ["--set", "nb=0"], "nb",
+                  "qbclink.channel.sample_double_rayleigh"),
+    "sweep-nt": (["sweep", "--nt", "0"], "nt", "qbclink.montecarlo.run_rank_sweep"),
+    "sweep-nr": (["sweep", "--channel", "deterministic", "--set", "nr=-3"], "nr",
+                 "qbclink.montecarlo.run_rank_sweep"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDED_COUNTS))
-def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, case):
+def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, tmp_path, case):
     argv, name, first_work = BOUNDED_COUNTS[case]
 
     def no_work(*args, **kwargs):
         raise AssertionError(f"{first_work} ran")
 
     monkeypatch.setattr(first_work, no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clutter.cfg").write_text(CHANNEL_PINS["clutter"][0])
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -500,6 +589,24 @@ SPEC_ERRORS = {
     "channel-ns": (FADING_CHANNEL + ["--ns", "-1", "--nz", "100"],
                    "n_signal must be positive, got -1.0",
                    "qbclink.channel.sample_double_rayleigh"),
+    "link-budget-g": (["link-budget", "--g", "-1", "--omega", "1e9", "--sigma-q", "1",
+                       "--rt", "1", "--rr", "1"],
+                      "antenna_gain must be positive, got -1.0",
+                      "qbclink.channel.round_trip_transmissivity"),
+    # a NaN or infinite operating point
+    "sweep-ns-nan": (["sweep", "--ns", "nan"], "n_signal must be finite, got nan",
+                     "qbclink.montecarlo.run_rank_sweep"),
+    "sweep-nz-inf": (["sweep", "--channel", "deterministic", "--nz", "inf"],
+                     "n_thermal must be finite, got inf", "qbclink.montecarlo.run_rank_sweep"),
+    "oracle-ns-nan": (["oracle", "--ns", "nan"], "n_signal must be finite, got nan",
+                      "qbclink.gaussian.run_oracle"),
+    "channel-modes-inf": (FADING_CHANNEL + ["--ns", "0.01", "--nz", "100", "--set", "modes=inf"],
+                          "modes must be finite, got inf",
+                          "qbclink.channel.sample_double_rayleigh"),
+    "ber-m-max-inf": (["ber", "--set", "m_max=inf"],
+                      "need 0 < m_min <= m_max < inf and m_points >= 1", "qbclink.qi.siso_snr"),
+    "ber-m-min-nan": (["ber", "--set", "m_min=nan"],
+                      "need 0 < m_min <= m_max < inf and m_points >= 1", "qbclink.qi.siso_snr"),
 }
 
 
@@ -532,6 +639,8 @@ SAMPLE_TEXTS = {
     "ranks": ("1..2", "3", "1,4"),
     "seed": ("3", "4", "5"),
     "trials": ("3", "4", "5"),
+    "nt": ("3", "4", "5"),
+    "nr": ("3", "4", "5"),
     "receiver": ("classical", "guha", "zhuang"),
     "channel": ("deterministic", "double-rayleigh", "deterministic"),
 }

@@ -48,7 +48,7 @@ class TestGaussianState:
 
     def test_tmss_pair_moments_round_trip(self):
         n_signal = 0.04
-        state = GaussianState.tmss_pairs(n_signal, pairs=1, total_modes=2, links=[(0, 1)])
+        state = GaussianState.tmss_pairs(n_signal, total_modes=2, links=[(0, 1)])
         m = tmss_moments(n_signal)
         assert state.ladder_c[0, 0].real == pytest.approx(n_signal, rel=1e-12)
         assert state.ladder_c[1, 1].real == pytest.approx(n_signal, rel=1e-12)
@@ -56,13 +56,11 @@ class TestGaussianState:
         assert state.ladder_c[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_tmss_state_is_physical(self):
-        state = GaussianState.tmss_pairs(0.3, pairs=2, total_modes=5, links=[(0, 3), (1, 4)])
-        state.validate()
-
-    def test_unphysical_state_detected(self):
-        state = GaussianState(mean=np.zeros(2), cov=0.1 * np.eye(2))
-        with pytest.raises(ValueError):
-            state.validate()
+        # the uncertainty bound cov + i Omega / 2 >= 0, Omega the symplectic form
+        state = GaussianState.tmss_pairs(0.3, total_modes=5, links=[(0, 3), (1, 4)])
+        assert np.array_equal(state.cov, state.cov.T)
+        omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(5))
+        assert np.linalg.eigvalsh(state.cov + 0.5j * omega).min() >= -1e-9
 
     def test_quadrature_rep_multiplicative(self):
         rng = np.random.default_rng(3)
@@ -73,7 +71,7 @@ class TestGaussianState:
 
 class TestPropagate:
     def test_identity_map_with_no_noise_ports_is_inert(self):
-        state = GaussianState.tmss_pairs(0.02, pairs=1, total_modes=2, links=[(0, 1)])
+        state = GaussianState.tmss_pairs(0.02, total_modes=2, links=[(0, 1)])
         out = propagate(state, np.eye(2), np.zeros((2, 0)), thermal_photons=0.0)
         assert np.array_equal(out.mean, state.mean)
         assert np.allclose(out.cov, state.cov, atol=1e-15)
@@ -84,7 +82,7 @@ class TestPropagate:
         assert np.allclose(out.cov, state.cov, atol=1e-15)
 
     def test_full_loss_gives_thermal_output(self):
-        state = GaussianState.tmss_pairs(0.5, pairs=1, total_modes=2, links=[(0, 1)])
+        state = GaussianState.tmss_pairs(0.5, total_modes=2, links=[(0, 1)])
         smap = np.zeros((1, 2))
         nmap = np.ones((1, 1))
         out = propagate(state, smap, nmap, thermal_photons=9.0)
@@ -92,7 +90,7 @@ class TestPropagate:
 
     def test_siso_cross_correlation_scales_with_amplitude(self):
         eta, phase, n_signal = 0.36, 0.8, 0.02
-        state = GaussianState.tmss_pairs(n_signal, pairs=1, total_modes=2, links=[(0, 1)])
+        state = GaussianState.tmss_pairs(n_signal, total_modes=2, links=[(0, 1)])
         smap = np.array([[np.sqrt(eta) * np.exp(-1j * phase), 0.0], [0.0, 1.0]])
         nmap = np.array([[np.sqrt(1 - eta)], [0.0]])
         out = propagate(state, smap, nmap, PARAMS.n_thermal)
@@ -320,7 +318,7 @@ class TestStacksAreMembersBitForBit:
     def test_stacked_states_through_stacked_maps(self):
         rng = np.random.default_rng(112)
         states = [GaussianState.thermal(2, 3.0),
-                  GaussianState.tmss_pairs(0.2, pairs=1, total_modes=2, links=[(0, 1)])]
+                  GaussianState.tmss_pairs(0.2, total_modes=2, links=[(0, 1)])]
         states.append(GaussianState(mean=rng.standard_normal(4), cov=states[1].cov))
         stacked = GaussianState(mean=np.array([s.mean for s in states]),
                                 cov=np.array([s.cov for s in states]))

@@ -18,9 +18,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(qbclink.__file__)))
 REEXPORTS = {
     "channel": [
         "ChannelMatrix", "ClutterPath", "FadingSpec", "LinkBudget", "PropagationPath",
-        "SPEED_OF_LIGHT", "SteeringGeometry", "build_clutter_channel",
-        "build_two_path_channel", "decompose_channel", "round_trip_transmissivity",
-        "sample_double_rayleigh", "siso_beam_splitter", "steering_vector",
+        "SPEED_OF_LIGHT", "build_clutter_channel", "build_two_path_channel",
+        "decompose_channel", "round_trip_transmissivity", "sample_double_rayleigh",
+        "siso_beam_splitter", "steering_vector",
     ],
     "errors": [
         "ConfigError", "DegenerateLinkError", "NonPhysicalChannelError",
