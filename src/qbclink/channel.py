@@ -93,8 +93,10 @@ class LinkBudget:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value > 0:
-                raise ValueError(f"{f.name} must be positive, got {value}")
+            # written as "not within (0, inf)", so that a NaN fails
+            if not 0.0 < value < np.inf:
+                bound = "positive" if value <= 0 else "finite"
+                raise ValueError(f"{f.name} must be {bound}, got {value}")
 
 
 def round_trip_transmissivity(lb: LinkBudget) -> float:
@@ -135,6 +137,8 @@ def steering_vector(element_count: int, spacing: float, direction_cosine: float)
     """
     if element_count < 1:
         raise ValueError(f"element_count must be >= 1, got {element_count}")
+    if not np.isfinite(spacing):
+        raise ValueError(f"spacing must be finite, got {spacing}")
     _check_cosine(direction_cosine)
     phase_step = 2.0 * np.pi * spacing * direction_cosine
     return np.exp(1j * phase_step * np.arange(element_count)) / np.sqrt(element_count)

@@ -103,7 +103,7 @@ def _merge_config(args, keys) -> _Config:
     values = io.load_config(args.config) if args.config else {}
     for key in keys:
         if key.flag and getattr(args, key.name) is not None:
-            values[key.name] = getattr(args, key.name)
+            values[key.name] = io.parse_scalar(getattr(args, key.name))
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -145,6 +145,13 @@ def _integer(low: int, high: int | None = None, bound: str | None = None):
         return number
 
     return convert
+
+
+def _finite(name, value):
+    number = _number(name, float, value)
+    if not np.isfinite(number):
+        raise ConfigError(f"key '{name}' must be finite, got {number}")
+    return number
 
 
 # the range of a fading spec and of the block seeder
@@ -212,7 +219,7 @@ _CHANNEL_KEYS = (
     Key("nz", float, flag="--nz"),
     Key("kind", str, help="channel kind: two_path, clutter, fading", flag="--channel"),
     Key("nb", _count),
-    Key("spacing", float),
+    Key("spacing", _finite),
     Key("draw", _integer(0), 0),
     Key("modes", float, 1e9),
     Key("paths", _path_list("channel.PropagationPath",
@@ -323,13 +330,14 @@ def cmd_channel(args) -> int:
     report = "ns" in cfg and "nz" in cfg and "eta" in cfg
     params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
     cm = _build_channel(cfg)
+    rows = _spec(qi.protocol_reports, cm, params, cfg["eta"]) if report else []
     print(f"shape,{cm.n_rx},{cm.n_tx}")
     print(f"rank,{cm.rank}")
     print(f"spectral_norm,{cm.spectral_norm:.17g}")
     print("eta_k," + " ".join(f"{v:.17g}" for v in cm.eta))
     if report:
         print(qi.PROTOCOL_REPORT_HEADER)
-        for row in qi.protocol_reports(cm, params, cfg["eta"]):
+        for row in rows:
             print(row.csv_row())
     if args.out:
         io.write_matrix(args.out, cm.matrix)
@@ -480,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                     key.flag,
                     dest=key.name,
                     metavar=key.flag[2:].replace("-", "_").upper(),
-                    type=key.type if key.type in (float, int) else None,
                     help=key.help,
                 )
         p.set_defaults(func=func)

@@ -92,7 +92,7 @@ class GaussianState:
 
     @classmethod
     def thermal(cls, modes: int, mean_photons: float) -> "GaussianState":
-        if mean_photons < 0:
+        if not 0 <= mean_photons < np.inf:
             raise ValueError("mean photon number must be non-negative")
         return cls(
             mean=np.zeros(2 * modes),
@@ -194,7 +194,7 @@ def propagate(
         )
     if b.shape[-2] != n_out:
         raise ValueError("signal and noise maps must have the same output count")
-    if thermal_photons < 0:
+    if not 0 <= thermal_photons < np.inf:
         raise ValueError("thermal photon number must be non-negative")
 
     gap = a @ _dagger(a)
@@ -216,6 +216,21 @@ def propagate(
     return GaussianState(mean=mean, cov=cov)
 
 
+def _tmss_register(n_signal: float, block: np.ndarray, pairs: int, noise: np.ndarray):
+    """``(state, signal_map, noise_map)``: channel ``block`` (n_out x n_in, or a
+    stack) takes ``pairs`` squeezed signals on its first ports, their idlers
+    pass through after its outputs, and ``noise`` feeds only its outputs."""
+    *lead, n_out, n_in = block.shape
+    links = [(k, n_in + k) for k in range(pairs)]
+    state = GaussianState.tmss_pairs(n_signal, total_modes=n_in + pairs, links=links)
+    signal_map = np.zeros((*lead, n_out + pairs, n_in + pairs), dtype=complex)
+    signal_map[..., :n_out, :n_in] = block
+    signal_map[..., n_out:, n_in:] = np.eye(pairs)
+    noise_map = np.zeros((*lead, n_out + pairs, noise.shape[-1]), dtype=complex)
+    noise_map[..., :n_out, :] = noise
+    return state, signal_map, noise_map
+
+
 def emimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     """Input state and maps for the eigen-channel protocol oracle.
 
@@ -233,19 +248,10 @@ def emimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     r = int(np.max(cm.rank))
     if np.any(cm.rank != r):
         raise ValueError("emimo_setup needs one rank across a stack of channels")
-    n_tx, n_rx = cm.n_tx, cm.n_rx
-    lead, eye = cm.matrix.shape[:-2], np.eye(n_rx)
-    state = GaussianState.tmss_pairs(
-        params.n_signal, total_modes=n_tx + r, links=[(k, n_tx + k) for k in range(r)]
-    )
     branch_map = _dagger(cm.u) @ (symbol * cm.matrix) @ cm.v
-    signal_map = np.zeros(lead + (n_rx + r, n_tx + r), dtype=complex)
-    signal_map[..., :n_rx, :n_tx] = branch_map
-    signal_map[..., n_rx:, n_tx:] = np.eye(r)
     # beamformer applied after the channel noise: U† (U S) = S numerically
-    noise_map = np.zeros(lead + (n_rx + r, n_rx), dtype=complex)
-    noise_map[..., :n_rx, :] = _dagger(cm.u) @ cm.u @ (cm.loss_coefficients[..., None] * eye)
-    return state, signal_map, noise_map
+    noise = _dagger(cm.u) @ cm.u @ (cm.loss_coefficients[..., None] * np.eye(cm.n_rx))
+    return _tmss_register(params.n_signal, branch_map, r, noise)
 
 
 def pmimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
@@ -257,16 +263,8 @@ def pmimo_setup(cm: ChannelMatrix, params: QiParams, symbol: complex = 1.0):
     """
     cm.require_physical()
     h = _square_matrix(cm)
-    n, lead = cm.n_tx, h.shape[:-2]
-    state = GaussianState.tmss_pairs(
-        params.n_signal, total_modes=2 * n, links=[(k, n + k) for k in range(n)]
-    )
-    signal_map = np.zeros(lead + (2 * n, 2 * n), dtype=complex)
-    signal_map[..., :n, :n] = symbol * h
-    signal_map[..., n:, n:] = np.eye(n)
-    noise_map = np.zeros(lead + (2 * n, n), dtype=complex)
-    noise_map[..., :n, :] = cm.u @ (cm.loss_coefficients[..., None] * np.eye(n))
-    return state, signal_map, noise_map
+    noise = cm.u @ (cm.loss_coefficients[..., None] * np.eye(cm.n_tx))
+    return _tmss_register(params.n_signal, symbol * h, cm.n_tx, noise)
 
 
 def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:

@@ -19,7 +19,6 @@ evaluated once.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,9 +35,9 @@ from .channel import (
 from .qi import Protocol, QiParams, emimo_snr, pmimo_snr
 
 REJECTION_ABORT_FRACTION = 0.01
-# Fading trials drawn, factorized and evaluated as one stack; bounds the
-# memory of a rank point at any trial count.  On 8x8 arrays blocks of 256
-# were no faster than 64 and raised the peak RSS by a further 1.3 MB.
+# Fading trials drawn, factorized and evaluated as one stack: the sweep's unit
+# of work, which bounds its memory at any trial count.  On 8x8 arrays blocks
+# of 256 were no faster than 64 and raised the peak RSS by a further 1.3 MB.
 FADING_BLOCK = 64
 
 
@@ -206,56 +205,44 @@ def _aggregate(rank, protocol, parts, rejected) -> EnsembleResult:
     )
 
 
-def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
-    """Evaluate trials [start, stop) of one rank point, ``FADING_BLOCK``
-    trials per stack; order- and boundary-independent.  Returns the paired
-    and the eigen ``_ratios`` and the rejection count."""
-    fspec = FadingSpec(spec.n_tx, spec.n_rx, rank, spec.reference_rtt, spec.seed)
+def _ratio_pair(spec: ExperimentSpec, stack: ChannelMatrix, coherent: bool = True):
+    """The paired and the eigen ``_ratios`` of a stack of channels."""
     baseline = spec.baseline_snr
-    paired = np.empty(stop - start)
-    eigen = np.empty(stop - start)
-    rejected = 0
-    for lo in range(start, stop, FADING_BLOCK):
-        trials = range(lo, min(lo + FADING_BLOCK, stop))
-        stack, rej = sample_double_rayleigh(fspec, [(rank, t) for t in trials])
-        rejected += int(rej.sum())
-        block = slice(lo - start, lo - start + len(trials))
-        paired[block] = pmimo_snr(stack, spec.qi) / baseline
-        eigen[block] = emimo_snr(stack, spec.qi) / baseline
-    return _ratios(paired), _ratios(eigen), rejected
+    return (_ratios(pmimo_snr(stack, spec.qi, coherent) / baseline),
+            _ratios(emimo_snr(stack, spec.qi) / baseline))
 
 
-def _deterministic_point(spec: ExperimentSpec, rank: int) -> list:
-    """A deterministic rank point's one evaluation, as a point of one batch."""
-    cm = deterministic_channel(spec.n_tx, rank, spec.reference_rtt)
-    paired = np.array([pmimo_snr(cm, spec.qi, coherent=False) / spec.baseline_snr])
-    eigen = np.array([emimo_snr(cm, spec.qi) / spec.baseline_snr])
-    return [(_ratios(paired), _ratios(eigen), 0)]
+def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
+    """Evaluate trials [start, stop) of one rank point as one stack; order-
+    and boundary-independent.  Returns the paired and the eigen ``_ratios``
+    and the rejection count."""
+    fspec = FadingSpec(spec.n_tx, spec.n_rx, rank, spec.reference_rtt, spec.seed)
+    stack, rejected = sample_double_rayleigh(fspec, [(rank, t) for t in range(start, stop)])
+    return (*_ratio_pair(spec, stack), int(rejected.sum()))
 
 
 def _fading_points(spec: ExperimentSpec, workers: int) -> list:
     """Each rank point's ``_fading_batch`` results, in sweep and trial order.
 
-    Every point is cut into ``4 * workers`` batches.  One pool of
-    ``workers - 1`` children serves the (rank, batch) jobs of the whole
-    sweep, and the calling process runs the first ``len(jobs) // workers``
-    of them meanwhile; with one worker it runs them all and builds no pool.
+    One job is one block of at most ``FADING_BLOCK`` trials of one rank.  With
+    one worker the calling process runs them all and builds no pool.
+    Otherwise it runs the first ``len(jobs) // workers`` jobs while one pool
+    of ``workers - 1`` children serves the rest of the whole sweep, in chunks
+    that make about 4 round trips per child.
     """
-    cuts = 4 * workers
-    bounds = [i * spec.trials // cuts for i in range(cuts + 1)]
-    batches = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    jobs = [(rank, lo, hi) for rank in spec.rank_sweep for lo, hi in batches]
-    own = len(jobs) // workers
-    with contextlib.ExitStack() as stack:
-        theirs = ()
-        if own < len(jobs):
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers - 1))
+    starts = range(0, spec.trials, FADING_BLOCK)
+    jobs = [(rank, lo, min(lo + FADING_BLOCK, spec.trials))
+            for rank in spec.rank_sweep for lo in starts]
+    if workers == 1:
+        parts = [_fading_batch(spec, *job) for job in jobs]
+    else:
+        own, rest = jobs[:len(jobs) // workers], jobs[len(jobs) // workers:]
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             # submitted before the caller starts its share, consumed after it
-            theirs = pool.map(_fading_batch, repeat(spec), *zip(*jobs[own:]))
-        parts = [_fading_batch(spec, *job) for job in jobs[:own]]
-        parts.extend(theirs)
-    per_point = len(batches)
-    return [parts[k:k + per_point] for k in range(0, len(parts), per_point)]
+            theirs = pool.map(_fading_batch, repeat(spec), *zip(*rest),
+                              chunksize=-(-len(rest) // (4 * (workers - 1))))  # ceil
+            parts = [_fading_batch(spec, *job) for job in own] + list(theirs)
+    return [parts[k:k + len(starts)] for k in range(0, len(parts), len(starts))]
 
 
 def run_rank_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
@@ -269,7 +256,10 @@ def run_rank_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if spec.channel_kind is ChannelKind.DETERMINISTIC:
-        points = [_deterministic_point(spec, rank) for rank in spec.rank_sweep]
+        # one evaluation per rank point, as a point of one batch
+        n, eta = spec.n_tx, spec.reference_rtt
+        channels = [deterministic_channel(n, rank, eta) for rank in spec.rank_sweep]
+        points = [[(*_ratio_pair(spec, cm[None], coherent=False), 0)] for cm in channels]
     else:
         points = _fading_points(spec, workers)
 

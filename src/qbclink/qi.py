@@ -109,7 +109,7 @@ def tmss_moments(n_signal: float) -> TmssMoments:
     The cross-correlation ``sqrt(Ns (Ns + 1))`` exceeds ``Ns`` for every
     positive ``Ns``, the nonclassical resource the receivers exploit.
     """
-    if n_signal <= 0:
+    if not 0 < n_signal < np.inf:
         raise ValueError(f"n_signal must be positive, got {n_signal}")
     return TmssMoments(
         signal_mean_photons=n_signal,
@@ -136,9 +136,9 @@ def chernoff_ber(beta: float, modes: float) -> float:
     This is the leading exponential behaviour of the error probability; the
     simulator adopts it as the definition of BER.
     """
-    if beta < 0:
+    if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be non-negative, got {beta}")
-    if modes <= 0:
+    if not 0 < modes < np.inf:
         raise ValueError(f"modes must be positive, got {modes}")
     return float(np.exp(-beta * modes))
 
@@ -207,7 +207,7 @@ def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
         )
     if not 1 <= rank <= n_tx:
         raise ValueError(f"rank must lie in [1, {n_tx}], got {rank}")
-    if beta < 0:
+    if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be non-negative, got {beta}")
     share = rank / n_tx
     return n_rx * share / ((n_tx - 1) * share * beta + 1.0)
@@ -239,7 +239,7 @@ def relative_gain(n_tx: int, rank: int, beta: float) -> float:
     """
     if n_tx < 1 or rank < 1:
         raise ValueError("n_tx and rank must be >= 1")
-    if beta < 0:
+    if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be non-negative, got {beta}")
     return (n_tx - 1) * rank * beta + n_tx
 

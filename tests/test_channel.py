@@ -129,6 +129,11 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(2, 0.5, 1.5)
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spacing_by_name(self, spacing):
+        with pytest.raises(ValueError, match=f"spacing must be finite, got {spacing}"):
+            steering_vector(2, spacing, 0.3)
+
 
 def _two_path_matrix(paths, spacing):
     """Independent construction of the two-path sum for oracle comparisons."""

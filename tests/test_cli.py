@@ -10,6 +10,7 @@ import pytest
 import qbclink
 from qbclink import io, montecarlo
 from qbclink.cli import COMMANDS, _merge_config, build_parser, main
+from qbclink.errors import ConfigError
 
 RADAR_BAND_ETA = 1.8116395996279272e-08
 
@@ -72,6 +73,22 @@ class TestLinkBudget:
         assert "exceeds 1" in err
 
 
+# sha256 of each CSV of a 4x4 sweep over ranks 1..4 at seed 7 and 150 trials,
+# which cross two FADING_BLOCK boundaries
+SWEEP_PINS = {
+    "double-rayleigh": {
+        "sweep_raw.csv": "397a796fee49533352c9e5216c13792a2320c9d12ddd9866b657d9b0ce9b957a",
+        "sweep_summary.csv": "d12f107eea779aada6eec6a0d83ed5cdb23102b414d3224a635bac9f2392538d",
+        "sweep_cdf.csv": "f56cbd6db61aa25286be58aa09c124ddb8d68be85702890ed43d330e22bb3fef",
+    },
+    "deterministic": {
+        "sweep_raw.csv": "766c31e102f383301c36187a0e132b653945c16f3aab4f55b66bcc69c4eae60d",
+        "sweep_summary.csv": "a9778eb433ce49319905fb3b88b5a1c8b23293691ac6c66ec2a9b5a15bbe2331",
+        "sweep_cdf.csv": "a006db69b746634c27f3b2f0997fa0960f6f6707969cea8296db11b36775f53e",
+    },
+}
+
+
 class TestSweep:
     def test_row_count_contract(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
@@ -123,6 +140,18 @@ class TestSweep:
             assert run(capsys, argv)[0] == 0
             outputs.append([(out_dir / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("channel", sorted(SWEEP_PINS))
+    def test_sweep_bytes_pinned(self, capsys, monkeypatch, tmp_path, channel, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        argv = ["sweep", "--nt", "4", "--nr", "4", "--ranks", "1..4", "--seed", "7",
+                "--trials", "150", "--channel", channel, "--set", f"workers={workers}",
+                "--out", str(tmp_path)]
+        assert run(capsys, argv)[0] == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in SWEEP_PINS[channel]}
+        assert digests == SWEEP_PINS[channel]
 
     def test_bad_rank_sweep_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["sweep", "--ranks", "0..9"])
@@ -433,6 +462,33 @@ class TestChannelCommand:
         assert out == ""
         assert err == "error: path transmissivity must lie in [0, 1], got 2.0\n"
 
+    def test_report_on_non_square_channel_fails_before_any_output(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(CHANNEL_PINS["clutter"][0])
+        code, out, err = run(capsys, ["channel", "--config", str(cfg), "--eta", "1e-5",
+                                      "--ns", "0.01", "--nz", "100"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: paired MIMO needs n_tx == n_rx transceiver pairs, got 4x5\n"
+
+    @pytest.mark.parametrize("spacing", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name,build", [("two_path", "build_two_path_channel"),
+                                            ("clutter", "build_clutter_channel")])
+    def test_non_finite_spacing_rejected_before_any_work(
+        self, capsys, monkeypatch, tmp_path, name, build, spacing
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{build} ran")
+
+        monkeypatch.setattr(f"qbclink.channel.{build}", no_work)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(CHANNEL_PINS[name][0])
+        code, out, err = run(capsys, ["channel", "--config", str(cfg),
+                                      "--set", f"spacing={spacing}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: key 'spacing' must be finite, got {float(spacing)}\n"
+
     @pytest.mark.parametrize("name", sorted(CHANNEL_PINS))
     def test_steered_channel_bytes_pinned(self, capsys, tmp_path, name):
         text, out_sha, matrix_sha = CHANNEL_PINS[name]
@@ -453,6 +509,13 @@ class TestOracleCommand:
         assert float(lines["emimo_max_moment_rel"]) <= 1e-9
         assert float(lines["pmimo_max_photon_rel"]) <= 1e-9
         assert lines["ok"] == "true"
+
+    def test_stdout_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, ["oracle", "--trials", "300", "--seed", "3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "10aa48dc3731152520f3eb6a1f658771dc419791273864839afd4284f9a23088"
+        )
 
     def test_worst_trial_printed_before_ok(self, capsys):
         code, out, _ = run(
@@ -593,6 +656,14 @@ SPEC_ERRORS = {
                        "--rt", "1", "--rr", "1"],
                       "antenna_gain must be positive, got -1.0",
                       "qbclink.channel.round_trip_transmissivity"),
+    "link-budget-g-inf": (["link-budget", "--g", "inf", "--omega", "1e9", "--sigma-q", "1",
+                           "--rt", "1", "--rr", "1"],
+                          "antenna_gain must be finite, got inf",
+                          "qbclink.channel.round_trip_transmissivity"),
+    "link-budget-rt-inf": (["link-budget", "--g", "1", "--omega", "1e9", "--sigma-q", "1",
+                            "--rt", "inf", "--rr", "1"],
+                           "dist_tx_tag must be finite, got inf",
+                           "qbclink.channel.round_trip_transmissivity"),
     # a NaN or infinite operating point
     "sweep-ns-nan": (["sweep", "--ns", "nan"], "n_signal must be finite, got nan",
                      "qbclink.montecarlo.run_rank_sweep"),
@@ -680,3 +751,24 @@ def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, keys, ke
     assert typed(file=file_text, flag=flag_text) != typed(file=file_text)
     layered = typed(file=file_text, flag=flag_text, override=set_text)
     assert layered == typed(override=set_text) != typed(flag=flag_text)
+
+
+@pytest.mark.parametrize("text", ["1e2", "abc"])
+@pytest.mark.parametrize(
+    "command,keys,key",
+    FLAGGED_KEYS,
+    ids=[f"{command}-{key.name}" for command, _, key in FLAGGED_KEYS],
+)
+def test_flag_text_parses_as_in_file_and_set(tmp_path, command, keys, key, text):
+    # "1e2" is a float's text for an integer key, "abc" no number at all
+    cfg_file = tmp_path / "keys.cfg"
+    cfg_file.write_text(f"{key.name} = {text}\n")
+    outcomes = []
+    for extra in (["--config", str(cfg_file)], [key.flag, text],
+                  ["--set", f"{key.name}={text}"]):
+        try:
+            value = _merge_config(build_parser().parse_args([command, *extra]), keys)[key.name]
+            outcomes.append((type(value), value))
+        except (ConfigError, SystemExit) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -171,6 +171,46 @@ class TestRankSweep:
     def test_one_worker_builds_no_pool(self, no_pool):
         assert len(run_rank_sweep(small_spec(trials=5), workers=1)) == 6
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_job_is_one_block_of_one_rank(self, monkeypatch, workers):
+        maps, jobs = [], []
+
+        class SerialPool:
+            """Runs the pool's jobs in the caller; none may exist at one worker."""
+
+            def __init__(self, max_workers):
+                assert workers > 1 and max_workers == workers - 1
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, spec, ranks, starts, stops, chunksize=1):
+                maps.append((len(ranks), chunksize))
+                return map(fn, spec, ranks, starts, stops)
+
+        real = montecarlo._fading_batch
+
+        def recording(spec, rank, start, stop):
+            jobs.append((rank, start, stop))
+            return real(spec, rank, start, stop)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo, "_fading_batch", recording)
+        spec = small_spec(trials=2 * FADING_BLOCK + 5)
+        run_rank_sweep(spec, workers=workers)
+        starts = range(0, spec.trials, FADING_BLOCK)
+        assert jobs == [(rank, lo, min(lo + FADING_BLOCK, spec.trials))
+                        for rank in spec.rank_sweep for lo in starts]
+        if workers == 1:
+            assert maps == []
+        else:
+            ((rest, chunksize),) = maps
+            assert rest == len(jobs) - len(jobs) // workers
+            assert chunksize == math.ceil(rest / (4 * (workers - 1)))
+
     @pytest.mark.parametrize("reference_rtt", [1e-5, 0.04])
     def test_trial_ranges_and_blocks_do_not_change_results(self, reference_rtt):
         # 0.04 makes most rank-8 draws non-physical at least once

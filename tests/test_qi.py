@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbclink import (
+    GaussianState,
     NonPhysicalChannelError,
     Protocol,
     ProtocolMismatchError,
@@ -20,6 +21,7 @@ from qbclink import (
     pmimo_setup,
     pmimo_snr,
     pmimo_snr_ensemble,
+    propagate,
     protocol_reports,
     relative_gain,
     siso_snr,
@@ -342,3 +344,27 @@ def test_protocol_reports_structure_and_serialization():
         assert len(fields) == len(PROTOCOL_REPORT_HEADER.split(","))
         assert fields[0] == report.protocol.value
         assert float(fields[1]) == report.snr
+
+
+# each range check of a rate, count or photon number, as a call of one bad
+# value, and the message it keeps
+NON_FINITE_CHECKS = {
+    "chernoff_ber-beta": (lambda x: chernoff_ber(x, 1e6), "beta must be non-negative"),
+    "chernoff_ber-modes": (lambda x: chernoff_ber(1e-6, x), "modes must be positive"),
+    "tmss_moments": (tmss_moments, "n_signal must be positive"),
+    "pmimo_mode_ratio-beta": (lambda x: pmimo_mode_ratio(4, 4, 2, x),
+                              "beta must be non-negative"),
+    "relative_gain-beta": (lambda x: relative_gain(4, 2, x), "beta must be non-negative"),
+    "thermal": (lambda x: GaussianState.thermal(2, x),
+                "mean photon number must be non-negative"),
+    "propagate": (lambda x: propagate(GaussianState.vacuum(1), [[1.0]], [[0.0]], x),
+                  "thermal photon number must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CHECKS))
+def test_range_checks_reject_nan_and_infinity(case, value):
+    call, message = NON_FINITE_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call(value)
