@@ -185,8 +185,6 @@ def _path_list(factory_path: str, fields):
         paths = []
         for i, entry in enumerate(value):
             where = f"{name}[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{where} must be a table of path keys")
             _reject_unknown(entry, fields)
             numbers = []
             for field in fields:
@@ -227,7 +225,7 @@ _CHANNEL_KEYS = (
     Key("tx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
     Key("rx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
 )
-# the keys each channel kind accepts; eta, ns and nz add a protocol report
+# the keys each channel kind accepts; ns, nz, modes (and eta off fading) ask for a report
 _REPORT_KEYS = {"kind", "eta", "ns", "nz", "modes"}
 _CHANNEL_KINDS = {
     "two_path": _REPORT_KEYS | {"spacing", "paths"},
@@ -307,7 +305,10 @@ def _build_channel(cfg: _Config):
         raise ConfigError(f"unknown channel kind {kind!r}")
     _reject_unknown(cfg.values, _CHANNEL_KINDS[kind])
     if kind == "two_path":
-        return channel.build_two_path_channel(cfg["paths"], cfg["spacing"])
+        paths = cfg["paths"]
+        if len(paths) != 2:
+            raise ConfigError(f"key 'paths' must list exactly two paths, got {len(paths)}")
+        return channel.build_two_path_channel(paths, cfg["spacing"])
     if kind == "clutter":
         return channel.build_clutter_channel(
             cfg["tx_paths"],
@@ -327,7 +328,8 @@ def cmd_channel(args) -> int:
     from . import qi
 
     cfg = _merge_config(args, _CHANNEL_KEYS)
-    report = "ns" in cfg and "nz" in cfg and "eta" in cfg
+    report = not {"ns", "nz", "modes"}.isdisjoint(cfg.values) or (
+        "eta" in cfg and cfg["kind"] != "fading")
     params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
     cm = _build_channel(cfg)
     rows = _spec(qi.protocol_reports, cm, params, cfg["eta"]) if report else []

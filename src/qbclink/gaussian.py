@@ -33,6 +33,9 @@ from .rng import row_generators
 COMMUTATOR_TOL = 1e-9
 # Matrix entries the oracle draws per block (ORACLE_BLOCK_ENTRIES // max_n**2
 # trials) and checks per stack of one channel size; both bound its memory.
+# Without the stack cap the output is byte-identical, but the peak RSS of
+# `oracle --seed 3` rises from 38.8 to 39.6 MB at 200 trials and from 40.3 to
+# 49.0 MB at 10,000 (three runs each, 2-vCPU x86-64 Xeon), so the cap stays.
 ORACLE_BLOCK_ENTRIES = 2**16
 ORACLE_STACK_ENTRIES = 2**10
 # Largest deviation each oracle check may show for the oracle to pass.

@@ -9,7 +9,8 @@ All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.
 
 Config format: one ``key = value`` assignment per line, ``#`` comments and
-blank lines ignored.  Keys may nest with dots and indexed lists, e.g.::
+blank lines ignored.  A key is a plain ``name`` or ``name[i].field``, one field
+of entry ``i`` of a list of flat tables; no other shape is read, e.g.::
 
     nt = 8
     spacing = 0.5
@@ -73,7 +74,8 @@ def read_matrix(path) -> np.ndarray:
         return matrix_from_text(fh.read())
 
 
-_KEY_SEGMENT = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\])?$")
+# a plain key, or one field of an entry of a list of tables
+_KEY = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\[(\d+)\]\.([A-Za-z_][A-Za-z0-9_]*))?")
 
 
 def parse_scalar(raw: str):
@@ -91,13 +93,13 @@ def parse_scalar(raw: str):
 
 
 def parse_config(text: str) -> dict:
-    """Parse config text into nested dicts and lists.
+    """Parse config text into scalars and lists of flat tables.
 
     Raises
     ------
     ConfigError
-        On malformed lines, bad keys, duplicate assignments, or list indices
-        that leave gaps.
+        On malformed lines, keys of any other shape, duplicate assignments, a
+        name used both plainly and as a list, or list indices that leave gaps.
     """
     root: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -106,62 +108,29 @@ def parse_config(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw_value = line.split("=", 1)
-        _assign(root, key.strip(), parse_scalar(raw_value), lineno)
-    _check_lists(root, "")
-    return root
-
-
-def _assign(root: dict, dotted: str, value, lineno: int) -> None:
-    segments = dotted.split(".")
-    node = root
-    for depth, segment in enumerate(segments):
-        match = _KEY_SEGMENT.match(segment.strip())
+        key, raw_value = (part.strip() for part in line.split("=", 1))
+        match = _KEY.fullmatch(key)
         if match is None:
-            raise ConfigError(f"line {lineno}: malformed key segment {segment!r}")
-        name, index = match.group(1), match.group(2)
-        last = depth == len(segments) - 1
-
+            raise ConfigError(f"line {lineno}: key {key!r} is not 'name' or 'name[i].field'")
+        name, index, field = match.groups()
         if index is None:
-            target, slot = node, name
+            table, slot = root, name
         else:
-            items = node.setdefault(name, {})
-            if not isinstance(items, dict) or (items and not all(
-                isinstance(k, int) for k in items
-            )):
+            # a list is built as {index: table} until every line is read
+            items = root.setdefault(name, {})
+            if not isinstance(items, dict):
                 raise ConfigError(f"line {lineno}: {name!r} is both list and scalar")
-            target, slot = items, int(index)
-
-        if last:
-            if slot in target:
-                raise ConfigError(f"line {lineno}: duplicate key {dotted!r}")
-            target[slot] = value
-        else:
-            node = target.setdefault(slot, {})
-            if not isinstance(node, dict):
-                raise ConfigError(
-                    f"line {lineno}: key {dotted!r} descends through a scalar"
-                )
-
-
-def _check_lists(node, path: str) -> None:
-    """Convert integer-keyed dicts to lists in place, requiring 0..k-1."""
-    if not isinstance(node, dict):
-        return
-    for key, child in list(node.items()):
-        child_path = f"{path}.{key}".lstrip(".")
-        if isinstance(child, dict) and child and all(isinstance(k, int) for k in child):
-            indices = sorted(child)
+            table, slot = items.setdefault(int(index), {}), field
+        if slot in table:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        table[slot] = parse_scalar(raw_value)
+    for name, items in root.items():
+        if isinstance(items, dict):
+            indices = sorted(items)
             if indices != list(range(len(indices))):
-                raise ConfigError(
-                    f"list {child_path!r} has gaps: indices {indices}"
-                )
-            seq = [child[i] for i in indices]
-            for i, item in enumerate(seq):
-                _check_lists(item, f"{child_path}[{i}]")
-            node[key] = seq
-        else:
-            _check_lists(child, child_path)
+                raise ConfigError(f"list {name!r} has gaps: indices {indices}")
+            root[name] = [items[i] for i in indices]
+    return root
 
 
 def load_config(path) -> dict:

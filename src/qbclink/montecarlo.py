@@ -80,6 +80,9 @@ class ExperimentSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.reference_rtt < 1.0:
             raise ValueError("reference_rtt must lie in (0, 1)")
+        if self.channel_kind is ChannelKind.DETERMINISTIC and self.reference_rtt > 1 / self.n_tx:
+            raise ValueError(f"reference_rtt must be at most 1/n_tx = {1 / self.n_tx:.6g} "
+                             f"for a passive deterministic channel, got {self.reference_rtt}")
 
     @property
     def baseline_snr(self) -> float:

@@ -276,6 +276,8 @@ def protocol_reports(
     The SISO baseline uses the reference transmissivity with the Zhuang
     coefficient, matching the normalization of the multi-antenna closed forms.
     """
+    if not 0.0 < reference_rtt <= 1.0:
+        raise ValueError(f"reference_rtt must lie in (0, 1], got {reference_rtt}")
     baseline = reference_rtt * params.n_signal / params.n_thermal
     rows = []
     for protocol, beta in (

@@ -1,8 +1,10 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +382,17 @@ CHANNEL_PINS = {
     ),
 }
 
+# the two-path pin config without the report keys eta, ns and nz
+STEERED_TWO_PATH = "".join(
+    line for line in CHANNEL_PINS["two_path"][0].splitlines(keepends=True)
+    if not line.startswith(("eta ", "ns ", "nz "))
+)
+README_INI_EXAMPLES = re.findall(
+    r"```ini\n(.*?)```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.DOTALL,
+)
+
 
 class TestChannelCommand:
     def test_fading_channel_writes_matrix(self, capsys, tmp_path):
@@ -488,6 +501,23 @@ class TestChannelCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: key 'spacing' must be finite, got {float(spacing)}\n"
+
+    def test_nested_key_exits_2_naming_its_line(self, capsys, tmp_path):
+        # modes is a report key, and this config asks for no report
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(STEERED_TWO_PATH + "modes.x = 1\n")
+        code, out, err = run(capsys, ["channel", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 11: key 'modes.x' is not 'name' or 'name[i].field'\n"
+
+    @pytest.mark.parametrize("example", README_INI_EXAMPLES)
+    def test_readme_config_examples_run(self, capsys, tmp_path, example):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(example)
+        code, out, err = run(capsys, ["channel", "--config", str(cfg)])
+        assert (code, err) == (0, "")
+        assert out.startswith("shape,")
 
     @pytest.mark.parametrize("name", sorted(CHANNEL_PINS))
     def test_steered_channel_bytes_pinned(self, capsys, tmp_path, name):
@@ -689,6 +719,53 @@ def test_spec_error_is_validation_failure_before_any_work(capsys, monkeypatch, c
         raise AssertionError(f"{first_work} ran")
 
     monkeypatch.setattr(first_work, no_work)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+ONE_PATH = "".join(ln for ln in STEERED_TWO_PATH.splitlines(keepends=True)
+                   if not ln.startswith("paths[1]"))
+THREE_PATHS = STEERED_TWO_PATH + "".join(
+    f"paths[2].{field} = 0.01\n" for field in ("eta", "phase", "omega_r", "omega_t"))
+TWO_PATH_REPORT = ["channel", "--config", "c.cfg", "--ns", "0.01", "--nz", "100"]
+# a config text (or none), the command, and the exact message it exits 2 with:
+# a report's reference transmissivity outside (0, 1], a deterministic sweep
+# outside its passive range, a wrong path count, and a report key alone
+CONFIG_ERRORS = {
+    "report-eta-zero": (STEERED_TWO_PATH, TWO_PATH_REPORT + ["--eta", "0"],
+                        "reference_rtt must lie in (0, 1], got 0.0"),
+    "report-eta-nan": (STEERED_TWO_PATH, TWO_PATH_REPORT + ["--eta", "nan"],
+                       "reference_rtt must lie in (0, 1], got nan"),
+    "report-eta-negative": (STEERED_TWO_PATH, TWO_PATH_REPORT + ["--eta", "-1"],
+                            "reference_rtt must lie in (0, 1], got -1.0"),
+    "report-eta-two": (STEERED_TWO_PATH, TWO_PATH_REPORT + ["--eta", "2"],
+                       "reference_rtt must lie in (0, 1], got 2.0"),
+    "sweep-deterministic-eta": (
+        None, ["sweep", "--channel", "deterministic", "--nt", "4", "--nr", "4", "--eta", "0.5"],
+        "reference_rtt must be at most 1/n_tx = 0.25 for a passive deterministic channel, "
+        "got 0.5"),
+    "two-path-one-path": (ONE_PATH, ["channel", "--config", "c.cfg"],
+                          "key 'paths' must list exactly two paths, got 1"),
+    "two-path-three-paths": (THREE_PATHS, ["channel", "--config", "c.cfg"],
+                             "key 'paths' must list exactly two paths, got 3"),
+    "fading-ns-alone": (None, FADING_CHANNEL + ["--seed", "1", "--ns", "0.01"],
+                        "missing required key 'nz'"),
+    "two-path-ns-alone": (STEERED_TWO_PATH, ["channel", "--config", "c.cfg", "--ns", "0.01"],
+                          "missing required key 'nz'"),
+    "two-path-modes-alone": (STEERED_TWO_PATH,
+                             ["channel", "--config", "c.cfg", "--set", "modes=1e6"],
+                             "missing required key 'ns'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exits_2_with_empty_stdout(capsys, monkeypatch, tmp_path, case):
+    text, argv, message = CONFIG_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "c.cfg").write_text(text)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbclink import ConfigError
 from qbclink.io import (
@@ -105,3 +107,52 @@ class TestConfigParser:
         path = tmp_path / "c.cfg"
         path.write_text("seed = 7\nworkers = 2\n")
         assert load_config(path) == {"seed": 7, "workers": 2}
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+# (text, value) of a config value: an int, a float, or a bare string
+VALUES = st.one_of(
+    st.integers(-10**12, 10**12).map(lambda v: (str(v), v)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (repr(v), v)),
+    st.from_regex(r"[a-z]+-[a-z0-9]+", fullmatch=True).map(lambda v: (v, v)),
+)
+
+
+@st.composite
+def configs(draw):
+    """Shuffled config lines in the two key shapes, and the dict they give."""
+    names = draw(st.lists(NAMES, unique=True, max_size=6))
+    plain = draw(st.integers(0, len(names)))
+    expected, lines = {}, []
+    for name in names[:plain]:
+        text, expected[name] = draw(VALUES)
+        lines.append(f"{name} = {text}")
+    for name in names[plain:]:
+        tables = draw(st.lists(st.dictionaries(NAMES, VALUES, min_size=1, max_size=4),
+                               min_size=1, max_size=3))
+        expected[name] = [{field: value for field, (_, value) in table.items()}
+                          for table in tables]
+        lines += [f"{name}[{i}].{field} = {text}"
+                  for i, table in enumerate(tables) for field, (text, _) in table.items()]
+    return draw(st.permutations(lines)), expected
+
+
+class TestConfigKeyShapes:
+    @given(configs())
+    def test_two_shapes_in_any_line_order_parse_to_scalars_and_tables(self, config):
+        lines, expected = config
+        assert parse_config("\n".join(lines)) == expected
+
+    @pytest.mark.parametrize(
+        "key", ["a.b", "a[0]", "a[0].b.c", "a[0].b[1].c", "paths[0]. eta", "paths [0].eta"]
+    )
+    def test_any_other_key_shape_rejected_by_line(self, key):
+        with pytest.raises(ConfigError, match=r"^line 3: "):
+            parse_config(f"nt = 8\n# a comment\n{key} = 1\n")
+
+    @pytest.mark.parametrize(
+        "text", ["paths = 1\npaths[0].eta = 2\n", "paths[0].eta = 2\npaths = 1\n"]
+    )
+    def test_name_both_plain_and_list_rejected_in_either_order(self, text):
+        with pytest.raises(ConfigError, match=r"^line 2: "):
+            parse_config(text)
