@@ -9,10 +9,10 @@ Commands::
     sweep         rank sweep of paired/eigen mode gains, CSV outputs
     oracle        Gaussian moment-propagation cross-checks
 
-Configuration comes from an optional ``--config`` file (see
-:mod:`qbclink.io` for the format) shadowed one-for-one by command-line
-flags and generic ``--set key=value`` overrides.  Every run is a pure
-function of its configuration: all randomness flows from the ``seed`` key.
+Configuration is config text in layers (see :mod:`qbclink.io`): an optional
+``--config`` file, then each named flag as one ``name = value`` text, then
+each ``--set key=value`` item as one text.  Every run is a pure function of
+its configuration: all randomness flows from the ``seed`` key.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 """
@@ -99,16 +99,10 @@ def _number(name: str, kind, value):
 
 
 def _merge_config(args, keys) -> _Config:
-    """Config file < named flags < --set overrides; only ``keys`` may appear."""
-    values = io.load_config(args.config) if args.config else {}
-    for key in keys:
-        if key.flag and getattr(args, key.name) is not None:
-            values[key.name] = io.parse_scalar(getattr(args, key.name))
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        name, raw = item.split("=", 1)
-        values[name.strip()] = io.parse_scalar(raw)
+    """File < named flags < --set items: each flag and item is one config text
+    that io.parse_config layers over those before; only ``keys`` may appear."""
+    texts = args.flags + args.set
+    values = io.load_config(args.config, *texts) if args.config else io.parse_config(*texts)
     cfg = _Config(keys, values)
     _reject_unknown(values, cfg.keys)
     return cfg
@@ -488,11 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
             if key.flag:
                 p.add_argument(
                     key.flag,
-                    dest=key.name,
+                    action="append", dest="flags",
+                    type=f"{key.name} = {{}}".format,
                     metavar=key.flag[2:].replace("-", "_").upper(),
                     help=key.help,
                 )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, flags=[], set=[])
     sub.choices["decompose"].add_argument(
         "input", help="matrix text file holding the unitary"
     )

@@ -17,8 +17,10 @@ of entry ``i`` of a list of flat tables; no other shape is read, e.g.::
     paths[0].eta = 0.2
     paths[0].phase = 0.0
 
-List indices must fill 0..k-1 contiguously.  Values parse as int, then float,
-then bare string.
+Values parse as int, then float, then bare string.  Texts are layers, each
+parsed alone: a later one replaces what earlier ones assign, a plain name its
+value and ``name[i].field`` one field of entry ``i`` (made if absent).  Merged
+list indices must fill 0..k-1 contiguously.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ def matrix_from_text(text: str) -> np.ndarray:
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"matrix header must be 'N_r N_t', got {lines[0]!r}")
+    if len(header) != 2 or not all(tok.isdecimal() and int(tok) >= 1 for tok in header):
+        raise ValueError(f"matrix header must be 'N_r N_t', two integers of at least 1, "
+                         f"got {lines[0]!r}")
     n_rx, n_tx = int(header[0]), int(header[1])
     if len(lines) != n_rx + 1:
         raise ValueError(f"expected {n_rx} matrix rows, got {len(lines) - 1}")
@@ -92,38 +95,48 @@ def parse_scalar(raw: str):
     return raw
 
 
-def parse_config(text: str) -> dict:
-    """Parse config text into scalars and lists of flat tables.
+def parse_config(*texts: str) -> dict:
+    """Parse config texts, each a layer over those before, into scalars and
+    lists of flat tables.
 
     Raises
     ------
     ConfigError
-        On malformed lines, keys of any other shape, duplicate assignments, a
-        name used both plainly and as a list, or list indices that leave gaps.
+        On malformed lines, keys of any other shape, duplicate assignments or a
+        name used both plainly and as a list within one text, or merged list
+        indices that leave gaps.
     """
     root: dict = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw_value = (part.strip() for part in line.split("=", 1))
-        match = _KEY.fullmatch(key)
-        if match is None:
-            raise ConfigError(f"line {lineno}: key {key!r} is not 'name' or 'name[i].field'")
-        name, index, field = match.groups()
-        if index is None:
-            table, slot = root, name
-        else:
-            # a list is built as {index: table} until every line is read
-            items = root.setdefault(name, {})
-            if not isinstance(items, dict):
-                raise ConfigError(f"line {lineno}: {name!r} is both list and scalar")
-            table, slot = items.setdefault(int(index), {}), field
-        if slot in table:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        table[slot] = parse_scalar(raw_value)
+    for text in texts:
+        layer: dict = {}
+        for lineno, raw_line in enumerate(text.splitlines(), start=1):
+            line = raw_line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            key, raw_value = (part.strip() for part in line.split("=", 1))
+            match = _KEY.fullmatch(key)
+            if match is None:
+                raise ConfigError(f"line {lineno}: key {key!r} is not 'name' or 'name[i].field'")
+            name, index, field = match.groups()
+            if index is None:
+                table, slot = layer, name
+            else:
+                # a list is built as {index: table} until every text is read
+                items = layer.setdefault(name, {})
+                if not isinstance(items, dict):
+                    raise ConfigError(f"line {lineno}: {name!r} is both list and scalar")
+                table, slot = items.setdefault(int(index), {}), field
+            if slot in table:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            table[slot] = parse_scalar(raw_value)
+        for name, value in layer.items():
+            if isinstance(value, dict) and isinstance(root.get(name), dict):
+                for index, table in value.items():
+                    root[name].setdefault(index, {}).update(table)
+            else:
+                root[name] = value
     for name, items in root.items():
         if isinstance(items, dict):
             indices = sorted(items)
@@ -133,6 +146,6 @@ def parse_config(text: str) -> dict:
     return root
 
 
-def load_config(path) -> dict:
+def load_config(path, *overrides: str) -> dict:
     with open(path) as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), *overrides)

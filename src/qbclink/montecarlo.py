@@ -3,8 +3,9 @@
 For each swept channel rank the runner evaluates the paired and eigen
 protocols trial by trial, records the virtual-mode ratio of each against the
 SISO baseline at the reference transmissivity, and aggregates log/linear
-means plus empirical CDFs.  Trials draw from independent substreams keyed by
-``(seed, rank, trial)``, so results are bit-identical for any worker count.
+means plus empirical CDFs.  Each draw comes from an independent substream
+keyed by ``(seed, rank, trial, attempt)``, so results are bit-identical for
+any worker count.
 
 The deterministic channel at rank r is a circulant matrix built from r equal
 singular values dressed by discrete-Fourier unitaries, with the nonzero
@@ -76,6 +77,8 @@ class ExperimentSpec:
                 raise ValueError(f"rank {r} outside [1, {cap}]")
         if not self.rank_sweep:
             raise ValueError("rank_sweep must be non-empty")
+        if len(set(self.rank_sweep)) != len(self.rank_sweep):
+            raise ValueError(f"rank_sweep lists a rank more than once: {self.rank_sweep}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.reference_rtt < 1.0:
@@ -254,7 +257,7 @@ def run_rank_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     ``workers`` counts the calling process: it runs its share of the fading
     trials and forks ``workers - 1`` children once per sweep for the rest.
     Results are identical for any value because every trial owns a substream
-    keyed by (seed, rank, trial).
+    keyed by (seed, rank, trial, attempt).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

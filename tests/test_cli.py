@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -830,14 +831,15 @@ def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, keys, ke
     assert layered == typed(override=set_text) != typed(flag=flag_text)
 
 
-@pytest.mark.parametrize("text", ["1e2", "abc"])
+@pytest.mark.parametrize("text", ["1e2", "abc", "3 # note"])
 @pytest.mark.parametrize(
     "command,keys,key",
     FLAGGED_KEYS,
     ids=[f"{command}-{key.name}" for command, _, key in FLAGGED_KEYS],
 )
 def test_flag_text_parses_as_in_file_and_set(tmp_path, command, keys, key, text):
-    # "1e2" is a float's text for an integer key, "abc" no number at all
+    # "1e2" is a float's text for an integer key, "abc" no number at all, and
+    # "3 # note" a value with a comment
     cfg_file = tmp_path / "keys.cfg"
     cfg_file.write_text(f"{key.name} = {text}\n")
     outcomes = []
@@ -849,3 +851,80 @@ def test_flag_text_parses_as_in_file_and_set(tmp_path, command, keys, key, text)
         except (ConfigError, SystemExit) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_repeated_flag_and_set_item_end_at_their_last_value():
+    args = build_parser().parse_args(
+        ["sweep", "--nt", "3", "--nt", "2", "--set", "nr=3", "--set", "nr=2"])
+    cfg = _merge_config(args, {name: keys for name, _, _, keys in COMMANDS}["sweep"])
+    assert (cfg["nt"], cfg["nr"]) == (2, 2)
+
+
+class TestSetPathField:
+    """``--set name[i].field=value`` on the two-path pin config."""
+
+    def test_equals_the_config_edited_in_place(self, capsys, tmp_path):
+        text = CHANNEL_PINS["two_path"][0]
+        edited = text.replace("paths[0].eta = 0.04\n", "paths[0].eta = 0.5\n")
+        assert edited != text
+        (tmp_path / "c.cfg").write_text(text)
+        (tmp_path / "e.cfg").write_text(edited)
+        runs = []
+        for cfg, extra in (("e.cfg", []), ("c.cfg", ["--set", "paths[0].eta=0.5"])):
+            out_file = tmp_path / f"{cfg}.txt"
+            code, out, err = run(capsys, ["channel", "--config", str(tmp_path / cfg),
+                                          "--out", str(out_file), *extra])
+            assert (code, err) == (0, "")
+            runs.append((out, out_file.read_bytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("item,message", [
+        ("paths[3].eta=0.5", "list 'paths' has gaps: indices [0, 1, 3]"),
+        ("paths[2].eta=0.5", "paths[2]: missing required key 'phase'"),
+        ("paths=3", "key 'paths' must be a list of path tables"),
+        ("foo", "line 1: expected 'key = value', got 'foo'"),
+    ])
+    def test_bad_item_exits_2_with_empty_stdout(self, capsys, tmp_path, item, message):
+        (tmp_path / "c.cfg").write_text(CHANNEL_PINS["two_path"][0])
+        code, out, err = run(capsys, ["channel", "--config", str(tmp_path / "c.cfg"),
+                                      "--set", item])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+def test_repeated_rank_rejected_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("qbclink.montecarlo.run_rank_sweep ran")
+
+    monkeypatch.setattr("qbclink.montecarlo.run_rank_sweep", no_work)
+    code, out, err = run(capsys, ["sweep", "--nt", "2", "--nr", "2", "--ranks", "2,2",
+                                  "--trials", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: rank_sweep lists a rank more than once: (2, 2)\n"
+
+
+def test_empty_matrix_header_named(capsys, tmp_path):
+    matrix_file = tmp_path / "empty.txt"
+    matrix_file.write_text("0 0\n")
+    code, out, err = run(capsys, ["decompose", str(matrix_file)])
+    assert (code, out) == (1, "")
+    assert err == ("error: matrix header must be 'N_r N_t', two integers of at least 1, "
+                   "got '0 0'\n")
+
+
+# each command of the README's "Command line" block, continuation lines joined
+README_COMMANDS = [
+    shlex.split(line)
+    for line in re.search(
+        r"## Command line\n\n```sh\n(.*?)```",
+        (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+        re.DOTALL,
+    ).group(1).replace("\\\n", " ").splitlines()
+]
+
+
+def test_readme_command_lines_parse():
+    assert len(README_COMMANDS) == 7
+    for program, *argv in README_COMMANDS:
+        assert program == "qbclink"
+        build_parser().parse_args(argv)

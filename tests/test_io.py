@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -49,6 +51,11 @@ class TestMatrixFormat:
             matrix_from_text("1 2\n1+0j\n")
         with pytest.raises(ValueError):
             matrix_from_text("1 1\nnan+0j\n")
+
+    @pytest.mark.parametrize("header", ["0 0", "0 2", "2 -1", "2 x", "1.0 1"])
+    def test_header_needs_two_integers_of_at_least_1(self, header):
+        with pytest.raises(ValueError, match=f"got '{re.escape(header)}'$"):
+            matrix_from_text(f"{header}\n")
 
 
 class TestConfigParser:
@@ -107,6 +114,24 @@ class TestConfigParser:
         path = tmp_path / "c.cfg"
         path.write_text("seed = 7\nworkers = 2\n")
         assert load_config(path) == {"seed": 7, "workers": 2}
+
+    def test_later_text_replaces_a_value_or_one_field(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 7\npaths[0].eta = 1\npaths[0].phase = 2\n")
+        assert load_config(path, "seed = 8", "paths[0].eta = 3\npaths[1].eta = 4") == {
+            "seed": 8, "paths": [{"eta": 3, "phase": 2}, {"eta": 4}]}
+        assert parse_config("paths[0].eta = 1", "paths = 5") == {"paths": 5}
+        assert parse_config("paths = 5", "paths[0].eta = 1") == {"paths": [{"eta": 1}]}
+
+    def test_duplicate_only_within_one_text(self):
+        assert parse_config("a = 1", "a = 2", "a = 3 # note") == {"a": 3}
+        with pytest.raises(ConfigError, match="^line 2: duplicate key 'a'$"):
+            parse_config("a = 1", "a = 2\na = 3")
+
+    def test_gaps_checked_on_merged_lists(self):
+        assert parse_config("p[1].x = 1", "p[0].x = 0") == {"p": [{"x": 0}, {"x": 1}]}
+        with pytest.raises(ConfigError, match=r"^list 'p' has gaps: indices \[0, 2\]$"):
+            parse_config("p[0].x = 0", "p[2].x = 2")
 
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)

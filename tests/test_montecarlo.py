@@ -274,6 +274,11 @@ class TestRankSweep:
         with pytest.raises(ValueError):
             small_spec(rank_sweep=())
 
+    @pytest.mark.parametrize("ranks", [(2, 2), (1, 2, 1)])
+    def test_repeated_rank_rejected(self, ranks):
+        with pytest.raises(ValueError, match="lists a rank more than once"):
+            small_spec(rank_sweep=ranks)
+
 
 class TestDominance:
     def test_fading_run_has_no_violations(self):
