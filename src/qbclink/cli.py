@@ -48,12 +48,11 @@ def _resolve(path: str):
 
 
 class Key(NamedTuple):
-    """One config key of a command.  ``type`` is float, int, str or a converter
-    ``f(name, value)``; a key without a default is required where it is read."""
+    """One config key: its converter ``convert(name, value)``, and the help
+    and flag of a key a command line may set by name."""
 
     name: str
-    type: object
-    default: object = None
+    convert: object
     help: str | None = None
     flag: str | None = None
 
@@ -66,46 +65,58 @@ def _reject_unknown(values: dict, allowed) -> None:
 
 class _Config:
     """One command's merged values; ``cfg[name]`` converts a value, or the
-    key's default, to the key's type."""
+    command's default for the key, with the key's converter."""
 
-    def __init__(self, keys, values: dict):
-        self.keys = {key.name: key for key in keys}
+    def __init__(self, defaults: dict, values: dict):
+        self.defaults = defaults
         self.values = values
 
     def __contains__(self, name) -> bool:
         return name in self.values
 
     def __getitem__(self, name):
-        key = self.keys[name]
-        value = self.values.get(name, key.default)
+        value = self.values.get(name, self.defaults[name])
         if value is None:
             raise ConfigError(f"missing required key '{name}'")
-        if key.type is str:
-            return str(value)
-        if key.type is not float and key.type is not int:
-            return key.type(name, value)
-        return _number(name, key.type, value)
+        return KEYS[name].convert(name, value)
 
 
-def _number(name: str, kind, value):
-    """``value`` as ``kind`` (float or int), or a ConfigError naming key ``name``."""
-    noun = "a number" if kind is float else "an integer"
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"key '{name}' must be {noun}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{name}' must be {noun}, got {value!r}") from None
-
-
-def _merge_config(args, keys) -> _Config:
+def _merge_config(args) -> _Config:
     """File < named flags < --set items: each flag and item is one config text
-    that io.parse_config layers over those before; only ``keys`` may appear."""
+    that io.parse_config layers over those before, named in its line errors;
+    only the command's keys may appear."""
     texts = args.flags + args.set
-    values = io.load_config(args.config, *texts) if args.config else io.parse_config(*texts)
-    cfg = _Config(keys, values)
-    _reject_unknown(values, cfg.keys)
-    return cfg
+    sources = [KEYS[text.split(" = ", 1)[0]].flag for text in args.flags]
+    sources += [f"--set {item}" for item in args.set]
+    values = (io.load_config(args.config, *texts, sources=sources) if args.config
+              else io.parse_config(*texts, sources=sources))
+    _reject_unknown(values, args.keys)
+    return _Config(args.keys, values)
+
+
+def _number(kind, low=None, high=np.inf, bound=None):
+    """Converter to ``kind`` (float or int), in [``low``, ``high``] when ``low``
+    is given; ``bound`` words that range in the error message."""
+    noun = "a number" if kind is float else "an integer"
+
+    def convert(name, value):
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"key '{name}' must be {noun}, got {value!r}")
+        try:
+            number = kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"key '{name}' must be {noun}, got {value!r}") from None
+        # written as "not within", so that a NaN fails
+        if low is not None and not low <= number <= high:
+            raise ConfigError(f"key '{name}' must {bound or f'be at least {low}'}, got {number}")
+        return number
+
+    return convert
+
+
+_real = _number(float)
+_int = _number(int)
+_count = _number(int, 1)
 
 
 def _parse_ranks(name: str, value) -> tuple:
@@ -124,33 +135,6 @@ def _parse_ranks(name: str, value) -> tuple:
         raise ConfigError(
             f"key '{name}' must be 'a..b' or a comma list, got {text!r}"
         ) from None
-
-
-def _integer(low: int, high: int | None = None, bound: str | None = None):
-    """Converter for an integer key of at least ``low`` and, when given, at
-    most ``high``; ``bound`` words the range in the error message."""
-
-    def convert(name, value):
-        number = _number(name, int, value)
-        if number < low or (high is not None and number > high):
-            raise ConfigError(
-                f"key '{name}' must {bound or f'be at least {low}'}, got {number}"
-            )
-        return number
-
-    return convert
-
-
-def _finite(name, value):
-    number = _number(name, float, value)
-    if not np.isfinite(number):
-        raise ConfigError(f"key '{name}' must be finite, got {number}")
-    return number
-
-
-# the range of a fading spec and of the block seeder
-_seed = _integer(0, 2**64 - 1, "lie in [0, 2**64 - 1]")
-_count = _integer(1)
 
 
 def _choice(enum_path: str, what: str, fold_case: bool = False):
@@ -184,41 +168,51 @@ def _path_list(factory_path: str, fields):
             for field in fields:
                 if field not in entry:
                     raise ConfigError(f"{where}: missing required key '{field}'")
-                numbers.append(_number(f"{where}.{field}", float, entry[field]))
+                numbers.append(_real(f"{where}.{field}", entry[field]))
             paths.append(_spec(factory, *numbers))
         return paths
 
     return convert
 
 
-# -- key tables ---------------------------------------------------------------
-
-_LINK_BUDGET_KEYS = (
-    Key("g", float, help="antenna gain (linear)", flag="--g"),
-    Key("omega", float, help="angular frequency (rad/s)", flag="--omega"),
-    Key("sigma_q", float, help="tag cross-section (m^2)", flag="--sigma-q"),
-    Key("rt", float, help="transmitter-to-tag distance (m)", flag="--rt"),
-    Key("rr", float, help="tag-to-receiver distance (m)", flag="--rr"),
-)
+# -- keys -------------------------------------------------------------------
 
 _CLUTTER_FIELDS = ("eta", "phase", "omega_b", "omega")
-_CHANNEL_KEYS = (
+# every key any command reads; a command lists its own in COMMANDS
+KEYS = {key.name: key for key in (
+    Key("g", _real, "antenna gain (linear)", "--g"),
+    Key("omega", _real, "angular frequency (rad/s)", "--omega"),
+    Key("sigma_q", _real, "tag cross-section (m^2)", "--sigma-q"),
+    Key("rt", _real, "transmitter-to-tag distance (m)", "--rt"),
+    Key("rr", _real, "tag-to-receiver distance (m)", "--rr"),
     Key("nt", _count, flag="--nt"),
     Key("nr", _count, flag="--nr"),
-    Key("eta", float, flag="--eta"),
-    Key("seed", _seed, flag="--seed"),
-    Key("ns", float, flag="--ns"),
-    Key("nz", float, flag="--nz"),
-    Key("kind", str, help="channel kind: two_path, clutter, fading", flag="--channel"),
+    Key("eta", _real, flag="--eta"),
+    # the range of a fading spec and of the block seeder
+    Key("seed", _number(int, 0, 2**64 - 1, "lie in [0, 2**64 - 1]"), flag="--seed"),
+    Key("ns", _real, flag="--ns"),
+    Key("nz", _real, flag="--nz"),
+    Key("kind", lambda name, value: str(value), "channel kind: two_path, clutter, fading",
+        "--channel"),
     Key("nb", _count),
-    Key("spacing", _finite),
-    Key("draw", _integer(0), 0),
-    Key("modes", float, 1e9),
-    Key("paths", _path_list("channel.PropagationPath",
-                            ("eta", "phase", "omega_r", "omega_t"))),
+    Key("spacing", _number(float, -sys.float_info.max, sys.float_info.max, "be finite")),
+    Key("draw", _number(int, 0)),
+    Key("modes", _real),
+    Key("paths", _path_list("channel.PropagationPath", ("eta", "phase", "omega_r", "omega_t"))),
     Key("tx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
     Key("rx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
-)
+    Key("receiver", _choice("qi.Receiver", "receiver", fold_case=True),
+        "classical, guha, or zhuang", "--receiver"),
+    Key("m_min", _real),
+    Key("m_max", _real),
+    Key("m_points", _int),
+    Key("ranks", _parse_ranks, "'a..b' or comma list", "--ranks"),
+    Key("trials", _count, flag="--trials"),
+    Key("channel", _choice("montecarlo.ChannelKind", "channel kind"),
+        "deterministic or double-rayleigh", "--channel"),
+    Key("workers", _int),
+    Key("max_n", _number(int, 1, 64, "lie in [1, 64]")),
+)}
 # the keys each channel kind accepts; ns, nz, modes (and eta off fading) ask for a report
 _REPORT_KEYS = {"kind", "eta", "ns", "nz", "modes"}
 _CHANNEL_KINDS = {
@@ -226,39 +220,6 @@ _CHANNEL_KINDS = {
     "clutter": _REPORT_KEYS | {"spacing", "nt", "nb", "nr", "tx_paths", "rx_paths"},
     "fading": _REPORT_KEYS | {"nt", "nr", "nb", "seed", "draw"},
 }
-
-_BER_KEYS = (
-    Key("eta", float, 1e-5, flag="--eta"),
-    Key("ns", float, 0.01, flag="--ns"),
-    Key("nz", float, 100.0, flag="--nz"),
-    Key("receiver", _choice("qi.Receiver", "receiver", fold_case=True),
-        help="classical, guha, or zhuang", flag="--receiver"),
-    Key("m_min", float, 1e6),
-    Key("m_max", float, 1e10),
-    Key("m_points", int, 25),
-)
-
-_SWEEP_KEYS = (
-    Key("nt", _count, 8, flag="--nt"),
-    Key("nr", _count, 8, flag="--nr"),
-    Key("ranks", _parse_ranks, help="'a..b' or comma list", flag="--ranks"),
-    Key("eta", float, 1e-5, flag="--eta"),
-    Key("ns", float, 0.01, flag="--ns"),
-    Key("nz", float, 100.0, flag="--nz"),
-    Key("trials", _count, 10_000, flag="--trials"),
-    Key("seed", _seed, 0, flag="--seed"),
-    Key("channel", _choice("montecarlo.ChannelKind", "channel kind"), "double-rayleigh",
-        help="deterministic or double-rayleigh", flag="--channel"),
-    Key("workers", int, 1),
-)
-
-_ORACLE_KEYS = (
-    Key("trials", _count, 100, flag="--trials"),
-    Key("seed", _seed, 0, flag="--seed"),
-    Key("ns", float, 0.01, flag="--ns"),
-    Key("nz", float, 100.0, flag="--nz"),
-    Key("max_n", _integer(1, 64, "lie in [1, 64]"), 8),
-)
 
 
 def _write_lines(path, lines) -> None:
@@ -281,9 +242,9 @@ def _spec(factory, *args, **kwargs):
 def cmd_link_budget(args) -> int:
     from .channel import LinkBudget, round_trip_transmissivity
 
-    cfg = _merge_config(args, _LINK_BUDGET_KEYS)
-    # the table lists the LinkBudget fields in order
-    budget = _spec(LinkBudget, *(cfg[k.name] for k in _LINK_BUDGET_KEYS))
+    cfg = _merge_config(args)
+    # the command lists the LinkBudget fields in order
+    budget = _spec(LinkBudget, *(cfg[name] for name in cfg.defaults))
     eta = round_trip_transmissivity(budget)
     print(f"eta,{eta:.17g}")
     if args.out:
@@ -321,7 +282,7 @@ def _build_channel(cfg: _Config):
 def cmd_channel(args) -> int:
     from . import qi
 
-    cfg = _merge_config(args, _CHANNEL_KEYS)
+    cfg = _merge_config(args)
     report = not {"ns", "nz", "modes"}.isdisjoint(cfg.values) or (
         "eta" in cfg and cfg["kind"] != "fading")
     params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
@@ -343,7 +304,7 @@ def cmd_channel(args) -> int:
 def cmd_decompose(args) -> int:
     from . import mesh
 
-    _merge_config(args, ())  # no keys: rejects any the config or --set names
+    _merge_config(args)  # no keys: rejects any the config or --set names
     unitary = io.read_matrix(args.input)
     try:
         result, residual = mesh._decompose(unitary)
@@ -362,7 +323,7 @@ def cmd_decompose(args) -> int:
 def cmd_ber(args) -> int:
     from . import qi
 
-    cfg = _merge_config(args, _BER_KEYS)
+    cfg = _merge_config(args)
     eta = cfg["eta"]
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"key 'eta' must lie in [0, 1], got {eta}")
@@ -393,7 +354,7 @@ def cmd_ber(args) -> int:
 def cmd_sweep(args) -> int:
     from . import montecarlo, qi
 
-    cfg = _merge_config(args, _SWEEP_KEYS)
+    cfg = _merge_config(args)
     n_tx = cfg["nt"]
     n_rx = cfg["nr"]
     kind = cfg["channel"]
@@ -437,7 +398,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     from . import gaussian, qi
 
-    cfg = _merge_config(args, _ORACLE_KEYS)
+    cfg = _merge_config(args)
     params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], modes=1e9)
     report = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
     for name, value in report.worst.items():
@@ -451,14 +412,22 @@ def cmd_oracle(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-# (name, help, handler, key table) of every command
+# (name, help, handler, {key: default, or None if required}) of every command;
+# a command's flags are its keys' flags, in its order
 COMMANDS = (
-    ("link-budget", "round-trip transmissivity", cmd_link_budget, _LINK_BUDGET_KEYS),
-    ("channel", "build and factor a channel", cmd_channel, _CHANNEL_KEYS),
-    ("decompose", "unitary to beam-splitter mesh", cmd_decompose, ()),
-    ("ber", "Chernoff BER table", cmd_ber, _BER_KEYS),
-    ("sweep", "rank sweep of mode gains", cmd_sweep, _SWEEP_KEYS),
-    ("oracle", "moment-propagation cross-checks", cmd_oracle, _ORACLE_KEYS),
+    ("link-budget", "round-trip transmissivity", cmd_link_budget,
+     dict(g=None, omega=None, sigma_q=None, rt=None, rr=None)),
+    ("channel", "build and factor a channel", cmd_channel,
+     dict(nt=None, nr=None, eta=None, seed=None, ns=None, nz=None, kind=None, nb=None,
+          spacing=None, draw=0, modes=1e9, paths=None, tx_paths=None, rx_paths=None)),
+    ("decompose", "unitary to beam-splitter mesh", cmd_decompose, {}),
+    ("ber", "Chernoff BER table", cmd_ber,
+     dict(eta=1e-5, ns=0.01, nz=100.0, receiver=None, m_min=1e6, m_max=1e10, m_points=25)),
+    ("sweep", "rank sweep of mode gains", cmd_sweep,
+     dict(nt=8, nr=8, ranks=None, eta=1e-5, ns=0.01, nz=100.0, trials=10_000, seed=0,
+          channel="double-rayleigh", workers=1)),
+    ("oracle", "moment-propagation cross-checks", cmd_oracle,
+     dict(trials=100, seed=0, ns=0.01, nz=100.0, max_n=8)),
 )
 
 
@@ -468,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="link-level simulator for multiantenna quantum backscatter",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, keys in COMMANDS:
+    for name, help_text, func, defaults in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file path")
         p.add_argument("--out", help="output file (or directory for sweep)")
@@ -478,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        for key in keys:
+        for key in map(KEYS.get, defaults):
             if key.flag:
                 p.add_argument(
                     key.flag,
@@ -487,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=key.flag[2:].replace("-", "_").upper(),
                     help=key.help,
                 )
-        p.set_defaults(func=func, flags=[], set=[])
+        p.set_defaults(func=func, keys=defaults, flags=[], set=[])
     sub.choices["decompose"].add_argument(
         "input", help="matrix text file holding the unitary"
     )

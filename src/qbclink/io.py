@@ -95,9 +95,10 @@ def parse_scalar(raw: str):
     return raw
 
 
-def parse_config(*texts: str) -> dict:
+def parse_config(*texts: str, sources=()) -> dict:
     """Parse config texts, each a layer over those before, into scalars and
-    lists of flat tables.
+    lists of flat tables; ``sources[i]``, where given, names text ``i`` in the
+    errors of its lines.
 
     Raises
     ------
@@ -107,18 +108,20 @@ def parse_config(*texts: str) -> dict:
         indices that leave gaps.
     """
     root: dict = {}
-    for text in texts:
+    for i, text in enumerate(texts):
+        where = f"{sources[i]}: " if i < len(sources) else ""
         layer: dict = {}
         for lineno, raw_line in enumerate(text.splitlines(), start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
                 continue
+            at = f"{where}line {lineno}"
             if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+                raise ConfigError(f"{at}: expected 'key = value', got {line!r}")
             key, raw_value = (part.strip() for part in line.split("=", 1))
             match = _KEY.fullmatch(key)
             if match is None:
-                raise ConfigError(f"line {lineno}: key {key!r} is not 'name' or 'name[i].field'")
+                raise ConfigError(f"{at}: key {key!r} is not 'name' or 'name[i].field'")
             name, index, field = match.groups()
             if index is None:
                 table, slot = layer, name
@@ -126,10 +129,10 @@ def parse_config(*texts: str) -> dict:
                 # a list is built as {index: table} until every text is read
                 items = layer.setdefault(name, {})
                 if not isinstance(items, dict):
-                    raise ConfigError(f"line {lineno}: {name!r} is both list and scalar")
+                    raise ConfigError(f"{at}: {name!r} is both list and scalar")
                 table, slot = items.setdefault(int(index), {}), field
             if slot in table:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+                raise ConfigError(f"{at}: duplicate key {key!r}")
             table[slot] = parse_scalar(raw_value)
         for name, value in layer.items():
             if isinstance(value, dict) and isinstance(root.get(name), dict):
@@ -146,6 +149,8 @@ def parse_config(*texts: str) -> dict:
     return root
 
 
-def load_config(path, *overrides: str) -> dict:
+def load_config(path, *overrides: str, sources=()) -> dict:
+    """``parse_config`` of the file at ``path``, which its errors name, and
+    then of ``overrides``."""
     with open(path) as fh:
-        return parse_config(fh.read(), *overrides)
+        return parse_config(fh.read(), *overrides, sources=(path, *sources))

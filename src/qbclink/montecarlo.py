@@ -81,6 +81,8 @@ class ExperimentSpec:
             raise ValueError(f"rank_sweep lists a rank more than once: {self.rank_sweep}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0.0 < self.reference_rtt < 1.0:
             raise ValueError("reference_rtt must lie in (0, 1)")
         if self.channel_kind is ChannelKind.DETERMINISTIC and self.reference_rtt > 1 / self.n_tx:

@@ -6,9 +6,11 @@ are pinned here.
 
 Criterion 2 is split: the moment/trend checks (2a, 2b) and the
 paired-protocol positivity claim (2c) are separate tests because 2c is
-unattainable at rank 1 under this simulator's definitions (the log of a
-heavy-tailed double-Rayleigh gain has a Jensen penalty of about -0.08 that
-no seed can overcome); it is implemented faithfully and left to fail.
+unattainable at rank 1 under this simulator's definitions: the mean linear
+paired gain there is exactly 1, and the ensemble mean log10 gain is exactly
+-0.0742, ``(E[ln S] - ln 8)/ln 10`` with S a sum of 8 products of two unit
+exponentials (a Jensen penalty no seed can overcome); it is implemented
+faithfully and left to fail.
 """
 
 import math
@@ -129,8 +131,9 @@ def test_criterion_2_fading_moments_and_trend(fading_sweep):
 
 def test_criterion_2_pmimo_log_gain_positive(fading_sweep):
     # Stated criterion: paired-protocol mean log gain positive at every rank.
-    # At rank 1 the statistic is genuinely negative (about -0.076); see the
-    # module docstring.  Implemented as stated, expected to fail there.
+    # At rank 1 the statistic is genuinely negative (exactly -0.0742 over the
+    # ensemble); see the module docstring.  Implemented as stated, expected to
+    # fail there.
     _, results, _ = fading_sweep
     paired = [r for r in results if r.protocol is Protocol.PMIMO]
     failures = [

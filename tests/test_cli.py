@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import qbclink
 from qbclink import io, montecarlo
-from qbclink.cli import COMMANDS, _merge_config, build_parser, main
+from qbclink.cli import COMMANDS, KEYS, _merge_config, _real, build_parser, main
 from qbclink.errors import ConfigError
 
 RADAR_BAND_ETA = 1.8116395996279272e-08
@@ -170,8 +171,11 @@ class TestSweep:
             (["--ranks", "9"], "rank 9 outside [1, 8]"),
             (["--nt", "8", "--nr", "4"], "the paired protocol needs n_tx == n_rx >= 1, got 8, 4"),
             (["--eta", "2"], "reference_rtt must lie in (0, 1)"),
+            (["--set", "nt=2.5"], "key 'nt' must be an integer, got 2.5"),
+            (["--ranks", "x..y"], "bad rank range 'x..y'"),
         ],
-        ids=["rank-0", "empty-range", "rank-9", "not-square", "eta-2"],
+        ids=["rank-0", "empty-range", "rank-9", "not-square", "eta-2", "nt-not-integer",
+             "rank-range-not-integers"],
     )
     def test_spec_error_is_validation_failure_before_any_sweep(
         self, capsys, monkeypatch, argv, message
@@ -273,6 +277,14 @@ class TestDecompose:
         assert code == 1
         assert "residual" in err
 
+    def test_non_square_matrix_is_not_unitary(self, capsys, tmp_path):
+        matrix_file, mesh_file = tmp_path / "m.txt", tmp_path / "m.mesh"
+        io.write_matrix(matrix_file, np.ones((2, 3), dtype=complex))
+        code, out, err = run(capsys, ["decompose", str(matrix_file), "--out", str(mesh_file)])
+        assert (code, out) == (1, "")
+        assert err == "residual,inf\nerror: input matrix is not unitary\n"
+        assert not mesh_file.exists()
+
     def test_config_keys_rejected_and_empty_config_accepted(self, capsys, tmp_path):
         matrix_file = tmp_path / "i.txt"
         io.write_matrix(matrix_file, np.eye(2, dtype=complex))
@@ -312,6 +324,14 @@ class TestBer:
             assert m_c == m_g == m_z
             assert b_g == 2 * b_c
             assert b_z == 4 * b_c
+
+    def test_out_file_holds_the_printed_table(self, capsys, tmp_path):
+        out_file = tmp_path / "ber.csv"
+        code, out, _ = run(capsys, ["ber", "--receiver", "guha", "--set", "m_points=2",
+                                    "--out", str(out_file)])
+        assert code == 0
+        assert len(out.splitlines()) == 3
+        assert out_file.read_text() == out
 
     def test_mode_count_for_millibit_error(self, capsys):
         # beta = 1e-9 needs M = ln(1000)/beta ~ 6.9e9 for BER 1e-3
@@ -510,7 +530,7 @@ class TestChannelCommand:
         code, out, err = run(capsys, ["channel", "--config", str(cfg)])
         assert code == 2
         assert out == ""
-        assert err == "error: line 11: key 'modes.x' is not 'name' or 'name[i].field'\n"
+        assert err == f"error: {cfg}: line 11: key 'modes.x' is not 'name' or 'name[i].field'\n"
 
     @pytest.mark.parametrize("example", README_INI_EXAMPLES)
     def test_readme_config_examples_run(self, capsys, tmp_path, example):
@@ -733,7 +753,8 @@ THREE_PATHS = STEERED_TWO_PATH + "".join(
 TWO_PATH_REPORT = ["channel", "--config", "c.cfg", "--ns", "0.01", "--nz", "100"]
 # a config text (or none), the command, and the exact message it exits 2 with:
 # a report's reference transmissivity outside (0, 1], a deterministic sweep
-# outside its passive range, a wrong path count, and a report key alone
+# outside its passive range, a wrong path count, a report key alone, and an
+# unknown channel kind
 CONFIG_ERRORS = {
     "report-eta-zero": (STEERED_TWO_PATH, TWO_PATH_REPORT + ["--eta", "0"],
                         "reference_rtt must lie in (0, 1], got 0.0"),
@@ -755,6 +776,8 @@ CONFIG_ERRORS = {
                         "missing required key 'nz'"),
     "two-path-ns-alone": (STEERED_TWO_PATH, ["channel", "--config", "c.cfg", "--ns", "0.01"],
                           "missing required key 'nz'"),
+    "channel-kind-unknown": (None, ["channel", "--channel", "nope"],
+                             "unknown channel kind 'nope'"),
     "two-path-modes-alone": (STEERED_TWO_PATH,
                              ["channel", "--config", "c.cfg", "--set", "modes=1e6"],
                              "missing required key 'ns'"),
@@ -780,11 +803,73 @@ def test_draw_past_the_block_seeder_accepted(capsys):
     assert "rank,2" in out
 
 
-# one raw text per source (file, flag, --set) for each type in the key tables
+# every command's named flags in parser order: the flag, its metavar, its help
+# and the config text its value becomes
+FLAG_TABLE = {
+    "link-budget": [
+        ("--g", "G", "antenna gain (linear)", "g = V"),
+        ("--omega", "OMEGA", "angular frequency (rad/s)", "omega = V"),
+        ("--sigma-q", "SIGMA_Q", "tag cross-section (m^2)", "sigma_q = V"),
+        ("--rt", "RT", "transmitter-to-tag distance (m)", "rt = V"),
+        ("--rr", "RR", "tag-to-receiver distance (m)", "rr = V"),
+    ],
+    "channel": [
+        ("--nt", "NT", None, "nt = V"),
+        ("--nr", "NR", None, "nr = V"),
+        ("--eta", "ETA", None, "eta = V"),
+        ("--seed", "SEED", None, "seed = V"),
+        ("--ns", "NS", None, "ns = V"),
+        ("--nz", "NZ", None, "nz = V"),
+        ("--channel", "CHANNEL", "channel kind: two_path, clutter, fading", "kind = V"),
+    ],
+    "decompose": [],
+    "ber": [
+        ("--eta", "ETA", None, "eta = V"),
+        ("--ns", "NS", None, "ns = V"),
+        ("--nz", "NZ", None, "nz = V"),
+        ("--receiver", "RECEIVER", "classical, guha, or zhuang", "receiver = V"),
+    ],
+    "sweep": [
+        ("--nt", "NT", None, "nt = V"),
+        ("--nr", "NR", None, "nr = V"),
+        ("--ranks", "RANKS", "'a..b' or comma list", "ranks = V"),
+        ("--eta", "ETA", None, "eta = V"),
+        ("--ns", "NS", None, "ns = V"),
+        ("--nz", "NZ", None, "nz = V"),
+        ("--trials", "TRIALS", None, "trials = V"),
+        ("--seed", "SEED", None, "seed = V"),
+        ("--channel", "CHANNEL", "deterministic or double-rayleigh", "channel = V"),
+    ],
+    "oracle": [
+        ("--trials", "TRIALS", None, "trials = V"),
+        ("--seed", "SEED", None, "seed = V"),
+        ("--ns", "NS", None, "ns = V"),
+        ("--nz", "NZ", None, "nz = V"),
+    ],
+}
+
+
+def test_every_key_read_by_a_command():
+    listed = {name for _, _, _, defaults in COMMANDS for name in defaults}
+    assert listed == set(KEYS)
+
+
+def test_flag_table_pinned():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    table = {
+        command: [(action.option_strings[0], action.metavar, action.help, action.type("V"))
+                  for action in parser._actions if action.dest == "flags"]
+        for command, parser in subparsers.choices.items()
+    }
+    assert table == FLAG_TABLE
+
+
+# one raw text per source (file, flag, --set) for the float converter, or for
+# a key by name
 SAMPLE_TEXTS = {
-    float: ("0.25", "0.5", "0.75"),
-    int: ("3", "4", "5"),
-    str: ("fading", "clutter", "two_path"),
+    _real: ("0.25", "0.5", "0.75"),
+    "kind": ("fading", "clutter", "two_path"),
     "ranks": ("1..2", "3", "1,4"),
     "seed": ("3", "4", "5"),
     "trials": ("3", "4", "5"),
@@ -794,20 +879,20 @@ SAMPLE_TEXTS = {
     "channel": ("deterministic", "double-rayleigh", "deterministic"),
 }
 FLAGGED_KEYS = [
-    (command, keys, key)
-    for command, _, _, keys in COMMANDS
-    for key in keys
+    (command, key)
+    for command, _, _, defaults in COMMANDS
+    for key in map(KEYS.get, defaults)
     if key.flag
 ]
 
 
 @pytest.mark.parametrize(
-    "command,keys,key",
+    "command,key",
     FLAGGED_KEYS,
-    ids=[f"{command}-{key.name}" for command, _, key in FLAGGED_KEYS],
+    ids=[f"{command}-{key.name}" for command, key in FLAGGED_KEYS],
 )
-def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, keys, key):
-    file_text, flag_text, set_text = SAMPLE_TEXTS.get(key.name) or SAMPLE_TEXTS[key.type]
+def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, key):
+    file_text, flag_text, set_text = SAMPLE_TEXTS.get(key.name) or SAMPLE_TEXTS[key.convert]
     cfg_file = tmp_path / "keys.cfg"
 
     def typed(file=None, flag=None, override=None):
@@ -819,7 +904,7 @@ def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, keys, ke
             argv += [key.flag, flag]
         if override is not None:
             argv += ["--set", f"{key.name}={override}"]
-        return _merge_config(build_parser().parse_args(argv), keys)[key.name]
+        return _merge_config(build_parser().parse_args(argv))[key.name]
 
     for text in (file_text, flag_text, set_text):
         value = typed(file=text)
@@ -833,11 +918,11 @@ def test_key_table_file_flag_and_set_agree_and_layer(tmp_path, command, keys, ke
 
 @pytest.mark.parametrize("text", ["1e2", "abc", "3 # note"])
 @pytest.mark.parametrize(
-    "command,keys,key",
+    "command,key",
     FLAGGED_KEYS,
-    ids=[f"{command}-{key.name}" for command, _, key in FLAGGED_KEYS],
+    ids=[f"{command}-{key.name}" for command, key in FLAGGED_KEYS],
 )
-def test_flag_text_parses_as_in_file_and_set(tmp_path, command, keys, key, text):
+def test_flag_text_parses_as_in_file_and_set(tmp_path, command, key, text):
     # "1e2" is a float's text for an integer key, "abc" no number at all, and
     # "3 # note" a value with a comment
     cfg_file = tmp_path / "keys.cfg"
@@ -846,7 +931,7 @@ def test_flag_text_parses_as_in_file_and_set(tmp_path, command, keys, key, text)
     for extra in (["--config", str(cfg_file)], [key.flag, text],
                   ["--set", f"{key.name}={text}"]):
         try:
-            value = _merge_config(build_parser().parse_args([command, *extra]), keys)[key.name]
+            value = _merge_config(build_parser().parse_args([command, *extra]))[key.name]
             outcomes.append((type(value), value))
         except (ConfigError, SystemExit) as exc:
             outcomes.append((type(exc), str(exc)))
@@ -856,7 +941,7 @@ def test_flag_text_parses_as_in_file_and_set(tmp_path, command, keys, key, text)
 def test_repeated_flag_and_set_item_end_at_their_last_value():
     args = build_parser().parse_args(
         ["sweep", "--nt", "3", "--nt", "2", "--set", "nr=3", "--set", "nr=2"])
-    cfg = _merge_config(args, {name: keys for name, _, _, keys in COMMANDS}["sweep"])
+    cfg = _merge_config(args)
     assert (cfg["nt"], cfg["nr"]) == (2, 2)
 
 
@@ -882,7 +967,7 @@ class TestSetPathField:
         ("paths[3].eta=0.5", "list 'paths' has gaps: indices [0, 1, 3]"),
         ("paths[2].eta=0.5", "paths[2]: missing required key 'phase'"),
         ("paths=3", "key 'paths' must be a list of path tables"),
-        ("foo", "line 1: expected 'key = value', got 'foo'"),
+        ("foo", "--set foo: line 1: expected 'key = value', got 'foo'"),
     ])
     def test_bad_item_exits_2_with_empty_stdout(self, capsys, tmp_path, item, message):
         (tmp_path / "c.cfg").write_text(CHANNEL_PINS["two_path"][0])
@@ -890,6 +975,19 @@ class TestSetPathField:
                                       "--set", item])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra, source", [
+    (["--config", "c.cfg"], "c.cfg"),
+    (["--nt", "3\nfoo"], "--nt"),
+    (["--set", "nt=3\nfoo"], "--set nt=3\nfoo"),
+], ids=["file", "flag", "set"])
+def test_config_line_error_names_its_source(capsys, monkeypatch, tmp_path, extra, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("nt = 3\nfoo\n")
+    code, out, err = run(capsys, ["sweep", *extra])
+    assert (code, out) == (2, "")
+    assert err == f"error: {source}: line 2: expected 'key = value', got 'foo'\n"
 
 
 def test_repeated_rank_rejected_before_any_work(capsys, monkeypatch):

@@ -168,6 +168,12 @@ class TestRankSweep:
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             run_rank_sweep(small_spec(trials=5), workers=workers)
 
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected_before_any_pool(self, no_pool, seed, kind):
+        with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer$"):
+            run_rank_sweep(small_spec(trials=5, seed=seed, channel_kind=kind), workers=2)
+
     def test_one_worker_builds_no_pool(self, no_pool):
         assert len(run_rank_sweep(small_spec(trials=5), workers=1)) == 6
 
