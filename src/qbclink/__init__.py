@@ -32,10 +32,10 @@ _PUBLIC = {
         "run_rank_sweep",
     ),
     "qi": (
-        "Protocol", "ProtocolReport", "QiParams", "Receiver", "TmssMoments",
-        "chernoff_ber", "emimo_mode_ratio", "emimo_snr", "pmimo_interference",
-        "pmimo_mode_ratio", "pmimo_snr", "pmimo_snr_ensemble", "protocol_reports",
-        "relative_gain", "siso_snr", "tmss_moments",
+        "Protocol", "ProtocolReport", "QiParams", "Receiver", "chernoff_ber",
+        "emimo_mode_ratio", "emimo_snr", "pmimo_interference", "pmimo_mode_ratio",
+        "pmimo_snr", "protocol_reports", "relative_gain", "siso_snr",
+        "tmss_cross_correlation",
     ),
     "rng": ("substream",),
 }

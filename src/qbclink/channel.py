@@ -141,6 +141,8 @@ def steering_vector(element_count: int, spacing: float, direction_cosine: float)
         raise ValueError(f"spacing must be finite, got {spacing}")
     _check_cosine(direction_cosine)
     phase_step = 2.0 * np.pi * spacing * direction_cosine
+    if not np.isfinite(phase_step * (element_count - 1)):  # the largest phase
+        raise ValueError(f"spacing {spacing} gives a non-finite array phase")
     return np.exp(1j * phase_step * np.arange(element_count)) / np.sqrt(element_count)
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ConfigError, NonUnitaryInputError
+from .errors import ConfigError, NonPhysicalChannelError, NonUnitaryInputError
 
 
 def __getattr__(name):
@@ -232,9 +232,12 @@ def _write_lines(path, lines) -> None:
 
 
 def _spec(factory, *args, **kwargs):
-    """``factory(*args, **kwargs)``, whose own ValueError is a validation failure."""
+    """``factory(*args, **kwargs)``, whose own ValueError is a validation
+    failure, except a non-physical channel."""
     try:
         return factory(*args, **kwargs)
+    except NonPhysicalChannelError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -263,9 +266,10 @@ def _build_channel(cfg: _Config):
         paths = cfg["paths"]
         if len(paths) != 2:
             raise ConfigError(f"key 'paths' must list exactly two paths, got {len(paths)}")
-        return channel.build_two_path_channel(paths, cfg["spacing"])
+        return _spec(channel.build_two_path_channel, paths, cfg["spacing"])
     if kind == "clutter":
-        return channel.build_clutter_channel(
+        return _spec(
+            channel.build_clutter_channel,
             cfg["tx_paths"],
             cfg["rx_paths"],
             n_tx=cfg["nt"],

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, _dagger, decompose_channel
 from .errors import NonPhysicalTransformError
-from .qi import QiParams, _square_matrix, pmimo_interference, tmss_moments
+from .qi import QiParams, _square_matrix, pmimo_interference, tmss_cross_correlation
 from .rng import row_generators
 
 COMMUTATOR_TOL = 1e-9
@@ -121,14 +121,12 @@ class GaussianState:
         ``links`` is a sequence of ``(signal_mode, idler_mode)`` index pairs;
         every unlinked mode starts in vacuum.
         """
-        moments = tmss_moments(n_signal)
+        cross = tmss_cross_correlation(n_signal)
         c = np.zeros((total_modes, total_modes), dtype=complex)
         g = np.zeros((total_modes, total_modes), dtype=complex)
         for sig, idl in links:
-            c[sig, sig] = moments.signal_mean_photons
-            c[idl, idl] = moments.idler_mean_photons
-            g[sig, idl] = moments.cross_correlation
-            g[idl, sig] = moments.cross_correlation
+            c[sig, sig] = c[idl, idl] = n_signal
+            g[sig, idl] = g[idl, sig] = cross
         return cls.from_ladder_moments(c, g)
 
     # -- derived moments ----------------------------------------------------
@@ -277,7 +275,7 @@ def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:
     channel for a stack.  The eigen protocol runs once per rank present."""
     stack = cm[None] if np.ndim(cm.rank) == 0 else cm
     n_signal, n_thermal = params.n_signal, params.n_thermal
-    cross = tmss_moments(n_signal).cross_correlation
+    cross = tmss_cross_correlation(n_signal)
 
     # eigen protocol: branches must decouple and match the eigen-channel forms
     n_rx = cm.n_rx

@@ -33,7 +33,7 @@ from .channel import (
     decompose_channel,
     sample_double_rayleigh,
 )
-from .qi import Protocol, QiParams, emimo_snr, pmimo_snr
+from .qi import Protocol, QiParams, _snr, emimo_snr, pmimo_snr
 
 REJECTION_ABORT_FRACTION = 0.01
 # Fading trials drawn, factorized and evaluated as one stack: the sweep's unit
@@ -88,10 +88,6 @@ class ExperimentSpec:
         if self.channel_kind is ChannelKind.DETERMINISTIC and self.reference_rtt > 1 / self.n_tx:
             raise ValueError(f"reference_rtt must be at most 1/n_tx = {1 / self.n_tx:.6g} "
                              f"for a passive deterministic channel, got {self.reference_rtt}")
-
-    @property
-    def baseline_snr(self) -> float:
-        return self.reference_rtt * self.qi.n_signal / self.qi.n_thermal
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,7 @@ def _aggregate(rank, protocol, parts, rejected) -> EnsembleResult:
 
 def _ratio_pair(spec: ExperimentSpec, stack: ChannelMatrix, coherent: bool = True):
     """The paired and the eigen ``_ratios`` of a stack of channels."""
-    baseline = spec.baseline_snr
+    baseline = _snr(spec.reference_rtt, spec.qi)
     return (_ratios(pmimo_snr(stack, spec.qi, coherent) / baseline),
             _ratios(emimo_snr(stack, spec.qi) / baseline))
 

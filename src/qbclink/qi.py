@@ -94,28 +94,22 @@ class QiParams:
             )
 
 
-@dataclass(frozen=True)
-class TmssMoments:
-    """Second moments of the two-mode squeezed source state."""
+def tmss_cross_correlation(n_signal: float) -> float:
+    """Cross-correlation ``<a_S a_I> = sqrt(Ns (Ns + 1))`` of the two-mode
+    squeezed source with ``n_signal`` photons in each of its signal and idler
+    modes.
 
-    signal_mean_photons: float
-    idler_mean_photons: float
-    cross_correlation: float
-
-
-def tmss_moments(n_signal: float) -> TmssMoments:
-    """Source moments for ``n_signal`` photons per mode.
-
-    The cross-correlation ``sqrt(Ns (Ns + 1))`` exceeds ``Ns`` for every
-    positive ``Ns``, the nonclassical resource the receivers exploit.
+    It exceeds ``Ns`` for every positive ``Ns``, the nonclassical resource the
+    receivers exploit.
     """
     if not 0 < n_signal < np.inf:
         raise ValueError(f"n_signal must be positive, got {n_signal}")
-    return TmssMoments(
-        signal_mean_photons=n_signal,
-        idler_mean_photons=n_signal,
-        cross_correlation=float(np.sqrt(n_signal * (n_signal + 1.0))),
-    )
+    return float(np.sqrt(n_signal * (n_signal + 1.0)))
+
+
+def _snr(transmissivity, params: QiParams):
+    """Link SNR ``x * Ns / Nz`` of transmissivity ``x``, a number or an array."""
+    return transmissivity * params.n_signal / params.n_thermal
 
 
 def siso_snr(eta: float, params: QiParams) -> float:
@@ -127,7 +121,7 @@ def siso_snr(eta: float, params: QiParams) -> float:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    return params.receiver.snr_coefficient * (eta * params.n_signal / params.n_thermal)
+    return params.receiver.snr_coefficient * _snr(eta, params)
 
 
 def chernoff_ber(beta: float, modes: float) -> float:
@@ -186,15 +180,6 @@ def pmimo_snr(cm: ChannelMatrix, params: QiParams, coherent: bool = True):
     return np.sum(signal / pmimo_interference(cm, params, coherent), axis=-1)
 
 
-def pmimo_snr_ensemble(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
-    """Ensemble-symmetric paired-MIMO SNR for baseline SISO SNR ``beta``.
-
-    Closed form under the symmetric coupling ``|h_mn|^2 = (r/N_t) eta``:
-    ``beta`` times :func:`pmimo_mode_ratio`.
-    """
-    return beta * pmimo_mode_ratio(n_tx, n_rx, rank, beta)
-
-
 def pmimo_mode_ratio(n_tx: int, n_rx: int, rank: int, beta: float) -> float:
     """Virtual-mode multiplier M_P/M of the paired protocol.
 
@@ -221,7 +206,7 @@ def emimo_snr(cm: ChannelMatrix, params: QiParams):
     add without interference, so only the summed transmissivities matter.
     """
     cm.require_physical()
-    return cm.trace_power * params.n_signal / params.n_thermal
+    return _snr(cm.trace_power, params)
 
 
 def emimo_mode_ratio(rank: int, n_rx: int) -> float:
@@ -278,7 +263,7 @@ def protocol_reports(
     """
     if not 0.0 < reference_rtt <= 1.0:
         raise ValueError(f"reference_rtt must lie in (0, 1], got {reference_rtt}")
-    baseline = reference_rtt * params.n_signal / params.n_thermal
+    baseline = _snr(reference_rtt, params)
     rows = []
     for protocol, beta in (
         (Protocol.SISO, baseline),
@@ -287,7 +272,7 @@ def protocol_reports(
     ):
         ratio = beta / baseline
         with np.errstate(divide="ignore"):
-            log_gain = float(np.log10(ratio)) if ratio > 0 else float("-inf")
+            log_gain = float(np.log10(ratio))
         rows.append(
             ProtocolReport(
                 protocol=protocol,

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -84,6 +85,16 @@ class TestLinkBudget:
         eta = round_trip_transmissivity(lb)
         assert abs(eta - RADAR_BAND_ETA) <= 1e-12 * RADAR_BAND_ETA
 
+    @pytest.mark.parametrize("ulps", [1, 4])
+    def test_rounding_just_above_unity_gives_one(self, ulps):
+        # the unity cancellation with the receive distance a few ulp short of
+        # 1, so that the formula evaluates just above 1
+        rr = 1.0 - ulps * 2.0**-53
+        c2 = SPEED_OF_LIGHT**2
+        assert 1.0 < c2 * 16.0 * np.pi / (16.0 * np.pi * c2 * rr**2) < 1.0 + 1e-12
+        lb = LinkBudget(1.0, SPEED_OF_LIGHT, 16.0 * np.pi, 1.0, rr)
+        assert round_trip_transmissivity(lb) == 1.0
+
     def test_above_unity_raises(self):
         lb = LinkBudget(1e6, SPEED_OF_LIGHT, 16.0 * np.pi, 1.0, 1.0)
         with pytest.raises(NonPhysicalLinkError):
@@ -134,6 +145,20 @@ class TestSteeringVector:
         with pytest.raises(ValueError, match=f"spacing must be finite, got {spacing}"):
             steering_vector(2, spacing, 0.3)
 
+
+    # (element count, spacing, direction cosine) whose largest phase
+    # 2 pi spacing cosine (N - 1) overflows, or is inf * 0
+    @pytest.mark.parametrize("n,spacing,cosine", [(2, 1e308, 0.3), (2, -1e308, 1.0),
+                                                  (64, 1e306, 1.0), (1, 1e308, 0.3),
+                                                  (2, 1e308, 0.0)])
+    def test_rejects_spacing_with_non_finite_phase(self, n, spacing, cosine):
+        message = f"spacing {spacing} gives a non-finite array phase"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            steering_vector(n, spacing, cosine)
+
+    def test_largest_finite_phase_accepted(self):
+        v = steering_vector(64, 1e306, 0.1)
+        assert np.all(np.isfinite(v))
 
 def _two_path_matrix(paths, spacing):
     """Independent construction of the two-path sum for oracle comparisons."""
@@ -561,6 +586,9 @@ class TestDoubleRayleigh:
             sample_double_rayleigh(spec, 0)
 
     def test_spec_validation(self):
+        for name, counts in (("n_tx", (0, 2, 1)), ("n_rx", (2, 0, 1)), ("n_tag", (2, 2, 0))):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+                FadingSpec(*counts, 1e-5, 0)
         with pytest.raises(ValueError):
             FadingSpec(2, 2, 3, 1e-5, 0)
         with pytest.raises(ValueError):

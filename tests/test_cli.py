@@ -333,6 +333,13 @@ class TestBer:
         assert len(out.splitlines()) == 3
         assert out_file.read_text() == out
 
+    def test_default_table_pinned(self, capsys):
+        # sha256 of the stdout of `ber` at its defaults
+        code, out, _ = run(capsys, ["ber"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "77e9b856d7534a20d90427b1e6fe3bd1667b67d01bfdd935bf2eaa48d4705fed")
+
     def test_mode_count_for_millibit_error(self, capsys):
         # beta = 1e-9 needs M = ln(1000)/beta ~ 6.9e9 for BER 1e-3
         modes = math.log(1000.0) / 1e-9
@@ -522,6 +529,28 @@ class TestChannelCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: key 'spacing' must be finite, got {float(spacing)}\n"
+
+    @pytest.mark.parametrize("spacing", ["1e308", "-3e307"])
+    @pytest.mark.parametrize("name", ["two_path", "clutter"])
+    def test_spacing_with_non_finite_phase_exits_2(self, capsys, tmp_path, name, spacing):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(CHANNEL_PINS[name][0])
+        # pytest turns a warning into an error, so numpy's overflow warning fails this
+        code, out, err = run(capsys, ["channel", "--config", str(cfg),
+                                      "--set", f"spacing={spacing}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: spacing {float(spacing)} gives a non-finite array phase\n"
+
+    def test_non_physical_steered_channel_is_runtime_failure(self, capsys, tmp_path):
+        # two coincident paths of transmissivity 1 make a channel of norm 2
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(STEERED_TWO_PATH)
+        same = ["paths[0].eta=1", "paths[1].eta=1", "paths[1].phase=0.3",
+                "paths[1].omega_r=0.2", "paths[1].omega_t=-0.5"]
+        code, out, err = run(capsys, ["channel", "--config", str(cfg),
+                                      *(arg for item in same for arg in ("--set", item))])
+        assert (code, out) == (1, "")
+        assert err == "error: spectral norm 2 exceeds 1\n"
 
     def test_nested_key_exits_2_naming_its_line(self, capsys, tmp_path):
         # modes is a report key, and this config asks for no report

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from qbclink import (
+    ChannelKind,
+    ExperimentSpec,
+    FadingSpec,
     GaussianState,
     NonPhysicalTransformError,
     QiParams,
@@ -14,9 +17,10 @@ from qbclink import (
     pmimo_setup,
     propagate,
     quadrature_rep,
-    tmss_moments,
+    sample_double_rayleigh,
+    tmss_cross_correlation,
 )
-from qbclink import gaussian, rng
+from qbclink import gaussian, montecarlo, rng
 from qbclink.cli import main, run_oracle_checks
 from qbclink.gaussian import (
     ORACLE_STACK_ENTRIES,
@@ -49,10 +53,9 @@ class TestGaussianState:
     def test_tmss_pair_moments_round_trip(self):
         n_signal = 0.04
         state = GaussianState.tmss_pairs(n_signal, total_modes=2, links=[(0, 1)])
-        m = tmss_moments(n_signal)
         assert state.ladder_c[0, 0].real == pytest.approx(n_signal, rel=1e-12)
         assert state.ladder_c[1, 1].real == pytest.approx(n_signal, rel=1e-12)
-        assert state.ladder_g[0, 1] == pytest.approx(m.cross_correlation, rel=1e-12)
+        assert state.ladder_g[0, 1] == pytest.approx(tmss_cross_correlation(n_signal), rel=1e-12)
         assert state.ladder_c[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_tmss_state_is_physical(self):
@@ -94,7 +97,7 @@ class TestPropagate:
         smap = np.array([[np.sqrt(eta) * np.exp(-1j * phase), 0.0], [0.0, 1.0]])
         nmap = np.array([[np.sqrt(1 - eta)], [0.0]])
         out = propagate(state, smap, nmap, PARAMS.n_thermal)
-        expected = np.sqrt(eta) * np.exp(-1j * phase) * tmss_moments(n_signal).cross_correlation
+        expected = np.sqrt(eta) * np.exp(-1j * phase) * tmss_cross_correlation(n_signal)
         assert out.ladder_g[0, 1] == pytest.approx(expected, rel=1e-12)
         photons = eta * n_signal + (1 - eta) * PARAMS.n_thermal
         assert out.ladder_c[0, 0].real == pytest.approx(photons, rel=1e-12)
@@ -126,6 +129,8 @@ class TestPropagate:
         state = GaussianState.vacuum(2)
         with pytest.raises(ValueError):
             propagate(state, np.eye(3), np.zeros((3, 0)), 0.0)
+        with pytest.raises(ValueError, match="noise maps must have the same output count"):
+            propagate(state, np.eye(3, 2), np.eye(2), 0.0)
 
 
 class TestEigenProtocolOracle:
@@ -135,7 +140,7 @@ class TestEigenProtocolOracle:
         state, smap, nmap = emimo_setup(cm, PARAMS)
         out = propagate(state, smap, nmap, PARAMS.n_thermal)
         r = cm.rank
-        cross = tmss_moments(PARAMS.n_signal).cross_correlation
+        cross = tmss_cross_correlation(PARAMS.n_signal)
         for k, (eta, loss) in enumerate(zip(cm.port_eta[:r], cm.loss_coefficients[:r])):
             photons = eta * PARAMS.n_signal + loss**2 * PARAMS.n_thermal
             assert out.ladder_c[k, k].real == pytest.approx(photons, rel=1e-9)
@@ -162,7 +167,7 @@ class TestEigenProtocolOracle:
         symbol = np.exp(-1j * np.pi)  # the flipped BPSK symbol
         state, smap, nmap = emimo_setup(cm, PARAMS, symbol=symbol)
         out = propagate(state, smap, nmap, PARAMS.n_thermal)
-        cross = tmss_moments(PARAMS.n_signal).cross_correlation
+        cross = tmss_cross_correlation(PARAMS.n_signal)
         eta0 = cm.port_eta[0]
         assert out.ladder_g[0, cm.n_rx] == pytest.approx(
             symbol * np.sqrt(eta0) * cross, rel=1e-9
@@ -192,7 +197,7 @@ class TestPairedProtocolOracle:
         cm = random_physical_channel(rng, 5)
         state, smap, nmap = pmimo_setup(cm, PARAMS)
         out = propagate(state, smap, nmap, PARAMS.n_thermal)
-        cross = tmss_moments(PARAMS.n_signal).cross_correlation
+        cross = tmss_cross_correlation(PARAMS.n_signal)
         for m in range(5):
             expected = cm.matrix[m, m] * cross
             assert out.ladder_g[m, 5 + m] == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -240,6 +245,25 @@ def test_oracle_worst_trial_reproduces_from_its_seed():
     assert checks[name] == report.worst[name]
     for trial in range(trials):
         assert max(ratios(trial)[1].values()) <= worst[name]
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_oracle_recovers_the_sweeps_eigen_samples(rank):
+    # the fading sweep's 8x8 eigen samples, rebuilt from the propagated
+    # branch-idler correlations: eta_k = |<a_k a_I,k>|^2 / cross^2
+    spec = ExperimentSpec(n_tx=8, n_rx=8, rank_sweep=(rank,), reference_rtt=1e-5, qi=PARAMS,
+                          trials=24, seed=7, channel_kind=ChannelKind.DOUBLE_RAYLEIGH)
+    _, (_, logs, _), _ = montecarlo._fading_batch(spec, rank, 0, spec.trials)
+    fspec = FadingSpec(8, 8, rank, spec.reference_rtt, spec.seed)
+    draws, _ = sample_double_rayleigh(fspec, [(rank, t) for t in range(spec.trials)])
+    cm = decompose_channel(draws.matrix)
+    out = propagate(*emimo_setup(cm, PARAMS), PARAMS.n_thermal)
+    k = np.arange(rank)
+    cross = tmss_cross_correlation(PARAMS.n_signal)
+    eta = np.abs(out.ladder_g[:, k, cm.n_rx + k]) ** 2 / cross**2
+    snr = np.sum(eta, axis=-1) * PARAMS.n_signal / PARAMS.n_thermal
+    baseline = spec.reference_rtt * PARAMS.n_signal / PARAMS.n_thermal
+    assert np.max(np.abs(np.log10(snr / baseline) - logs)) <= 1e-9
 
 
 def mixed_rank_stack():

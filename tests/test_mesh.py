@@ -188,6 +188,26 @@ def test_ports_must_be_integers_that_fit(ports):
         BeamSplitterMesh(2, ports, [0.5], [0.5], [0.0, 0.0])
 
 
+# each shape check of a mesh or its text, as a call that fails it, and the
+# message it raises
+MESH_SHAPE_CHECKS = {
+    "element-negative-port": (lambda: MeshElement(-1, 0.5, 0.5),
+                              "port must be non-negative, got -1"),
+    "output-phase-count": (lambda: BeamSplitterMesh(2, [0], [0.5], [0.5], [0.0]),
+                           "need one output phase per port"),
+    "empty-text": (lambda: mesh_from_text(""), "empty mesh file"),
+    "blank-text": (lambda: mesh_from_text(" \n\n"), "empty mesh file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MESH_SHAPE_CHECKS))
+def test_shape_checks_name_the_fault(case):
+    call, message = MESH_SHAPE_CHECKS[case]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_half_pi_element_swaps_ports():
     mesh = BeamSplitterMesh(dimension=2, ports=[0], mixing_angles=[np.pi / 2],
                             phases=[0.4], output_phases=np.zeros(2))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qbclink import (
     empirical_cdf,
     pmimo_mode_ratio,
     pmimo_snr,
-    pmimo_snr_ensemble,
     run_rank_sweep,
     sample_double_rayleigh,
 )
@@ -120,7 +120,7 @@ class TestDeterministicChannel:
         for rank in range(1, 9):
             cm = deterministic_channel(8, rank, 1e-5)
             realized = pmimo_snr(cm, PARAMS, coherent=False)
-            closed = pmimo_snr_ensemble(8, 8, rank, beta)
+            closed = beta * pmimo_mode_ratio(8, 8, rank, beta)
             assert realized == pytest.approx(closed, rel=1e-9)
 
     def test_rejects_bad_arguments(self):
@@ -137,7 +137,7 @@ class TestRankSweep:
         spec = small_spec(channel_kind=ChannelKind.DETERMINISTIC, trials=50)
         results = run_rank_sweep(spec)
         assert len(results) == 6
-        beta = spec.baseline_snr
+        beta = spec.reference_rtt * PARAMS.n_signal / PARAMS.n_thermal
         for res in results:
             assert res.trials_used == 1
             assert res.stderr == 0.0
@@ -237,13 +237,14 @@ class TestRankSweep:
             assert text == [f"{value:.17g}" for value in logs.tolist()]
 
         fspec = FadingSpec(8, 8, 8, reference_rtt, spec.seed)
+        baseline = reference_rtt * PARAMS.n_signal / PARAMS.n_thermal
         rejections = 0
         for t in range(n):
             one, (rej,) = sample_double_rayleigh(fspec, [(8, t)])
             cm = one[0]
             rejections += rej
-            assert paired[0][t] == pmimo_snr(cm, spec.qi) / spec.baseline_snr
-            assert eigen[0][t] == emimo_snr(cm, spec.qi) / spec.baseline_snr
+            assert paired[0][t] == pmimo_snr(cm, spec.qi) / baseline
+            assert eigen[0][t] == emimo_snr(cm, spec.qi) / baseline
         assert rejected == rejections
         assert (rejected > n) == (reference_rtt == 0.04)
 
@@ -314,6 +315,9 @@ class TestDominance:
             dominance_check(results[:-1])
         with pytest.raises(ValueError):
             dominance_check(results + [results[0]])
+        short = replace(results[0], trials_used=results[0].trials_used - 1)
+        with pytest.raises(ValueError, match="trial counts differ"):
+            dominance_check([short, *results[1:]])
 
 
 class TestCsvSchemas:

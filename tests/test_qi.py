@@ -20,12 +20,11 @@ from qbclink import (
     pmimo_mode_ratio,
     pmimo_setup,
     pmimo_snr,
-    pmimo_snr_ensemble,
     propagate,
     protocol_reports,
     relative_gain,
     siso_snr,
-    tmss_moments,
+    tmss_cross_correlation,
 )
 from qbclink.qi import PROTOCOL_REPORT_HEADER
 
@@ -41,29 +40,25 @@ def random_physical_channel(rng, n_rx, n_tx, norm=None):
 
 class TestTmss:
     def test_vacuum_limit(self):
-        assert tmss_moments(1e-300).cross_correlation < 1e-149
+        assert tmss_cross_correlation(1e-300) < 1e-149
 
     def test_unit_photon(self):
-        assert tmss_moments(1.0).cross_correlation == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert tmss_cross_correlation(1.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_hundredth_photon(self):
-        m = tmss_moments(0.01)
-        assert m.cross_correlation == pytest.approx(0.10049875621120890, rel=1e-15)
-        assert m.signal_mean_photons == m.idler_mean_photons == 0.01
+        assert tmss_cross_correlation(0.01) == pytest.approx(0.10049875621120890, rel=1e-15)
 
     @given(n_signal=st.floats(1e-12, 1e6))
     def test_nonclassicality_witness(self, n_signal):
-        m = tmss_moments(n_signal)
-        assert m.cross_correlation > m.signal_mean_photons
-        assert m.cross_correlation**2 == pytest.approx(
-            n_signal * (n_signal + 1.0), rel=1e-12
-        )
+        cross = tmss_cross_correlation(n_signal)
+        assert cross > n_signal
+        assert cross**2 == pytest.approx(n_signal * (n_signal + 1.0), rel=1e-12)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            tmss_moments(0.0)
+            tmss_cross_correlation(0.0)
         with pytest.raises(ValueError):
-            tmss_moments(-1.0)
+            tmss_cross_correlation(-1.0)
 
 
 class TestSisoSnr:
@@ -188,7 +183,7 @@ class TestPairedMimo:
 
 class TestEnsembleClosedForms:
     def test_single_antenna_reduces_to_baseline(self):
-        assert pmimo_snr_ensemble(1, 1, 1, 1e-3) == pytest.approx(1e-3, rel=1e-15)
+        assert pmimo_mode_ratio(1, 1, 1, 1e-3) == 1.0
 
     def test_large_array_limit(self):
         r, beta = 4, 1e-3
@@ -197,15 +192,8 @@ class TestEnsembleClosedForms:
         assert big == pytest.approx(limit, rel=1e-4)
 
     def test_full_rank_eight_antenna_value(self):
-        value = pmimo_snr_ensemble(8, 8, 8, 1e-3)
+        value = 1e-3 * pmimo_mode_ratio(8, 8, 8, 1e-3)
         assert value == pytest.approx(8e-3 / 1.007, rel=1e-12)
-
-    def test_mode_ratio_times_beta_is_snr(self):
-        for r in range(1, 9):
-            ratio = pmimo_mode_ratio(8, 8, r, 1e-3)
-            assert pmimo_snr_ensemble(8, 8, r, 1e-3) == pytest.approx(
-                ratio * 1e-3, rel=1e-14
-            )
 
 
 class TestEigenMimo:
@@ -316,7 +304,7 @@ class TestRelativeGain:
         for r in range(1, 9):
             beta = 1e-3
             eigen = r * 8 * beta
-            paired = pmimo_snr_ensemble(8, 8, r, beta)
+            paired = beta * pmimo_mode_ratio(8, 8, r, beta)
             assert relative_gain(8, r, beta) == pytest.approx(eigen / paired, rel=1e-12)
 
 
@@ -346,12 +334,19 @@ def test_protocol_reports_structure_and_serialization():
         assert float(fields[1]) == report.snr
 
 
+def test_protocol_reports_on_a_null_channel_give_minus_infinity():
+    # log10(0) without a warning, which pytest would turn into an error
+    reports = protocol_reports(decompose_channel(np.zeros((3, 3))), PARAMS, reference_rtt=1e-5)
+    assert [r.csv_row() for r in reports[1:]] == ["pmimo,0,1,0,-inf", "emimo,0,1,0,-inf"]
+
+
 # each range check of a rate, count or photon number, as a call of one bad
 # value, and the message it keeps
 NON_FINITE_CHECKS = {
     "chernoff_ber-beta": (lambda x: chernoff_ber(x, 1e6), "beta must be non-negative"),
     "chernoff_ber-modes": (lambda x: chernoff_ber(1e-6, x), "modes must be positive"),
-    "tmss_moments": (tmss_moments, "n_signal must be positive"),
+    "tmss_cross_correlation": (tmss_cross_correlation, "n_signal must be positive"),
+    "siso_snr": (lambda x: siso_snr(x, PARAMS), "transmissivity must lie in"),
     "pmimo_mode_ratio-beta": (lambda x: pmimo_mode_ratio(4, 4, 2, x),
                               "beta must be non-negative"),
     "relative_gain-beta": (lambda x: relative_gain(4, 2, x), "beta must be non-negative"),
@@ -368,3 +363,38 @@ def test_range_checks_reject_nan_and_infinity(case, value):
     call, message = NON_FINITE_CHECKS[case]
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+# each argument check of a closed form, as a call of bad arguments, the error
+# it raises and its message
+ARGUMENT_CHECKS = {
+    "siso_snr-eta-negative": (lambda: siso_snr(-0.1, PARAMS), ValueError,
+                              "transmissivity must lie in [0, 1], got -0.1"),
+    "siso_snr-eta-above-1": (lambda: siso_snr(1.5, PARAMS), ValueError,
+                             "transmissivity must lie in [0, 1], got 1.5"),
+    "pmimo_mode_ratio-non-square": (lambda: pmimo_mode_ratio(4, 3, 2, 1e-3),
+                                    ProtocolMismatchError,
+                                    "paired MIMO needs n_tx == n_rx >= 1, got 4, 3"),
+    "pmimo_mode_ratio-empty": (lambda: pmimo_mode_ratio(0, 0, 0, 1e-3), ProtocolMismatchError,
+                               "paired MIMO needs n_tx == n_rx >= 1, got 0, 0"),
+    "pmimo_mode_ratio-rank-0": (lambda: pmimo_mode_ratio(4, 4, 0, 1e-3), ValueError,
+                                "rank must lie in [1, 4], got 0"),
+    "pmimo_mode_ratio-rank-above": (lambda: pmimo_mode_ratio(4, 4, 5, 1e-3), ValueError,
+                                    "rank must lie in [1, 4], got 5"),
+    "emimo_mode_ratio-rank": (lambda: emimo_mode_ratio(-1, 4), ValueError,
+                              "rank must be >= 0 and n_rx >= 1"),
+    "emimo_mode_ratio-n_rx": (lambda: emimo_mode_ratio(2, 0), ValueError,
+                              "rank must be >= 0 and n_rx >= 1"),
+    "relative_gain-n_tx": (lambda: relative_gain(0, 1, 1e-3), ValueError,
+                           "n_tx and rank must be >= 1"),
+    "relative_gain-rank": (lambda: relative_gain(4, 0, 1e-3), ValueError,
+                           "n_tx and rank must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_CHECKS))
+def test_argument_checks_name_the_fault(case):
+    call, error, message = ARGUMENT_CHECKS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
