@@ -16,6 +16,7 @@ for randomly placed clutter.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -271,9 +272,10 @@ class ChannelMatrix:
             physical[open_] = decompose_channel(self.matrix[open_]).is_physical
         return physical[()]
 
-    @property
+    @cached_property
     def trace_power(self):
-        """``trace(H H†)``, the summed eigen-channel transmissivities."""
+        """``trace(H H†)``, the summed eigen-channel transmissivities; computed
+        once per object, as ``matrix`` is not to be written."""
         return np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1))
 
     @property
@@ -427,21 +429,36 @@ class FadingSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _fading_draws(spec: FadingSpec, paths, attempt: int) -> np.ndarray:
-    """The raw channels of ``attempt`` at each draw path, stacked.
+def _draw_keys(draws) -> np.ndarray:
+    """One row per draw: its index path, then a word for the attempt.  The
+    rows are ``int64``, or Python integers when a word does not fit."""
+    try:
+        paths = np.array(draws, dtype=np.int64)
+    except OverflowError:
+        paths = None
+    # an unsigned array's word of 2**63 or more wraps to a negative one; a
+    # negative word is kept as given, for substream to reject
+    if paths is None or (paths < 0).any():
+        paths = np.array(draws, dtype=object)
+    if paths.ndim == 1:  # one index per draw
+        paths = paths[:, None]
+    keys = np.zeros((len(paths), paths.shape[1] + 1), dtype=paths.dtype)
+    keys[:, :-1] = paths
+    return keys
+
+
+def _fading_draws(spec: FadingSpec, keys: np.ndarray) -> np.ndarray:
+    """The raw channels of the ``(B, k)`` draw keys (index path, then attempt),
+    stacked.
 
     Each draw takes its normals (inbound real and imaginary parts, then
-    outbound) in one run from its own ``substream(seed, *path, attempt)``,
-    seeded for the whole stack at once by :func:`standard_normals`.
+    outbound) in one run from its own ``substream(seed, *key)``, seeded for
+    the whole stack at once by :func:`standard_normals`.
     """
     # std per real component: per-entry complex variance is sqrt(eta / n_tx)
     scale = np.sqrt(np.sqrt(spec.reference_rtt / spec.n_tx) / 2.0)
     n_in = spec.n_tag * spec.n_tx
-    normals = standard_normals(
-        spec.seed,
-        [(*path, attempt) for path in paths],
-        2 * n_in + 2 * spec.n_rx * spec.n_tag,
-    )
+    normals = standard_normals(spec.seed, keys, 2 * n_in + 2 * spec.n_rx * spec.n_tag)
     t = normals[:, : 2 * n_in].reshape(-1, 2, spec.n_tag, spec.n_tx)
     r = normals[:, 2 * n_in :].reshape(-1, 2, spec.n_rx, spec.n_tag)
     h_t = scale * (t[:, 0] + 1j * t[:, 1])
@@ -465,9 +482,9 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
     Parameters
     ----------
     spec : FadingSpec
-    draws : int, or sequence of int or tuple of int
+    draws : int, or sequence of int or of index paths of one length
         Index of one draw, or the index (or index path) of each draw, within
-        the seeded ensemble.
+        the seeded ensemble; a ``(B, k)`` integer array is ``B`` paths.
 
     Returns
     -------
@@ -481,21 +498,25 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
     NonPhysicalChannelError
         When a draw is non-physical ``MAX_RESAMPLES`` times in a row.
     ValueError
-        If a draw is non-finite or fails a check of :func:`decompose_channel`.
+        If a draw is non-finite or fails a check of :func:`decompose_channel`,
+        or if the index paths differ in length.
     """
     one = np.isscalar(draws)
-    paths = [(draws,)] if one else [
-        d if isinstance(d, tuple) else (d,) if np.isscalar(d) else tuple(d) for d in draws
-    ]
-    h = np.empty((len(paths), spec.n_rx, spec.n_tx), dtype=complex)
-    rejections = np.zeros(len(paths), dtype=int)
-    pending = np.arange(len(paths))
+    keys = _draw_keys([draws] if one else draws)
+    rejections = np.zeros(len(keys), dtype=int)
+    pending = np.arange(len(keys))
     for attempt in range(MAX_RESAMPLES):
-        drawn = _fading_draws(spec, [paths[i] for i in pending], attempt)
-        h[pending] = drawn
-        pending = pending[~ChannelMatrix(drawn).is_physical]
+        keys[:, -1] = attempt
+        drawn = ChannelMatrix(_fading_draws(spec, keys[pending]))
+        if attempt == 0:  # every draw
+            h = drawn.matrix
+        else:
+            h[pending] = drawn.matrix
+        pending = pending[~drawn.is_physical]
         if not pending.size:
-            channels = ChannelMatrix(h)
+            # a stack certified whole at attempt 0 keeps its trace power; a
+            # redrawn one starts afresh
+            channels = drawn if attempt == 0 else ChannelMatrix(h)
             return (channels[0], int(rejections[0])) if one else (channels, rejections)
         rejections[pending] += 1
     raise NonPhysicalChannelError(

@@ -221,7 +221,8 @@ def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
     and boundary-independent.  Returns the paired and the eigen ``_ratios``
     and the rejection count."""
     fspec = FadingSpec(spec.n_tx, spec.n_rx, rank, spec.reference_rtt, spec.seed)
-    stack, rejected = sample_double_rayleigh(fspec, [(rank, t) for t in range(start, stop)])
+    paths = np.column_stack((np.full(stop - start, rank), np.arange(start, stop)))
+    stack, rejected = sample_double_rayleigh(fspec, paths)
     return (*_ratio_pair(spec, stack), int(rejected.sum()))
 
 

@@ -211,7 +211,7 @@ def emimo_snr(cm: ChannelMatrix, params: QiParams):
 
 def emimo_mode_ratio(rank: int, n_rx: int) -> float:
     """Virtual-mode multiplier M_E/M = r * N_r of the eigen protocol."""
-    if rank < 0 or n_rx < 1:
+    if not (rank >= 0 and n_rx >= 1):  # "not within", so that a NaN fails
         raise ValueError("rank must be >= 0 and n_rx >= 1")
     return float(rank * n_rx)
 
@@ -222,7 +222,7 @@ def relative_gain(n_tx: int, rank: int, beta: float) -> float:
     ``(N_t - 1) r beta + N_t``; approximately N_t in the quantum-illumination
     regime where beta is tiny.
     """
-    if n_tx < 1 or rank < 1:
+    if not (n_tx >= 1 and rank >= 1):  # "not within", so that a NaN fails
         raise ValueError("n_tx and rank must be >= 1")
     if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be non-negative, got {beta}")

@@ -11,12 +11,16 @@ draws a block's normals through it.  Both of numpy's seeding steps are fixed
 algorithms under its stream-compatibility policy (NEP 19): the
 ``SeedSequence`` pool is O'Neill's ``seed_seq_fe`` hash of 32-bit words, and
 ``PCG64`` seeds itself with two 128-bit LCG steps (O'Neill,
-HMC-CS-2014-0905).  The block seeder runs the hash for every path as
-``uint32`` array operations and the LCG steps on Python integers, then sets
-the state of one reused ``PCG64`` per path.
+HMC-CS-2014-0905).  The block seeder hashes the seed once per seed
+(:func:`_seed_pool`), mixes in every path's words as ``uint32`` array
+operations and runs the LCG steps on Python integers, then sets the state of
+one reused ``PCG64`` per path.  Paths travel as one ``(B, k)`` ``int64``
+array; only a block with a word past ``int64`` holds Python integers.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -61,9 +65,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` for each
-    row of the ``(B, k)`` uint32 array ``words``; ``seed < 2**64``."""
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> np.ndarray:
+    """The read-only pool of ``SeedSequence(seed, spawn_key=path)`` before its
+    first path word: the 16 hash steps that depend on the seed alone."""
     # a spawned sequence pads its seed words with zeros to the pool size
     pool = _hashmix(np.array([seed & _MASK32, seed >> 32, 0, 0], dtype=np.uint32), 0, 4)
     step = 4
@@ -71,12 +76,20 @@ def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
         dst = np.arange(4) != src
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], step, 3))
         step += 3
-    # the pool so far depends on the seed alone; each path word mixes into
-    # all four pool words of every row at once
-    pool = np.broadcast_to(pool, (len(words), 4))
-    for column in words.T:
-        pool = _mix(pool, _hashmix(column[:, None], step, 4))
-        step += 4
+    pool.flags.writeable = False
+    return pool
+
+
+def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` for each
+    row of the ``(B, k)`` uint32 array ``words``; ``seed < 2**64``."""
+    k = words.shape[1]
+    # every word's 4 hash steps at once: word j takes steps 16 + 4j .. 19 + 4j
+    hashed = _hashmix(np.repeat(words, 4, axis=1), 16, 4 * k).reshape(len(words), k, 4)
+    # each path word then mixes into all four pool words of every row
+    pool = np.broadcast_to(_seed_pool(seed), (len(words), 4))
+    for j in range(k):
+        pool = _mix(pool, hashed[:, j])
     state = pool[:, _STATE_POOL] ^ _STATE_B[:8]
     state *= _STATE_B[1:]
     state ^= state >> _XSHIFT
@@ -109,8 +122,11 @@ def row_generators(seed: int, paths):
     empty ``paths`` takes :func:`substream` itself, as does a negative value,
     which it rejects.
     """
-    words = np.array(paths, dtype=object)
-    fast = np.zeros(len(paths), dtype=bool)
+    try:
+        words = np.asarray(paths, dtype=np.int64)
+    except (OverflowError, ValueError):  # a word of 2**63 or more, or ragged paths
+        words = np.array(paths, dtype=object)
+    fast = np.zeros(len(words), dtype=bool)
     if 0 <= seed < 2**64 and words.ndim == 2 and words.shape[1] <= _MAX_PATH_WORDS:
         fast = ((words >= 0) & (words <= _MASK32)).all(axis=1)
     for i in np.flatnonzero(~fast).tolist():
@@ -121,14 +137,14 @@ def row_generators(seed: int, paths):
         return
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    lcg = {"state": 0, "inc": 0}  # set in place for each row
+    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
     seeds = _state_words(int(seed), words[rows].astype(np.uint32))
     for i, (s0, s1, s2, s3) in zip(rows.tolist(), seeds.tolist()):
         # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
         # from 0 with initstate added in between
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        lcg = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        state["state"] = {"state": lcg, "inc": inc}
+        inc = lcg["inc"] = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
         bitgen.state = state
         yield i, gen
 

@@ -92,3 +92,14 @@ def test_fading_sweep_runs_through_the_traced_names(monkeypatch):
     run_rank_sweep(spec)
     assert calls.pop(UNCALLED_IN_SWEEP) == 0
     assert all(calls.values()), calls
+
+
+def test_pool_class_has_its_import_site():
+    """The tracer times the sweep's pool by replacing the name
+    ``qbclink.montecarlo.ProcessPoolExecutor``; without that binding every
+    ``--trace 1`` run fails at install time."""
+    import concurrent.futures
+
+    assert montecarlo.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    assert ("qbclink.montecarlo", "ProcessPoolExecutor") in _import_sites(
+        concurrent.futures.ProcessPoolExecutor)

@@ -545,6 +545,23 @@ class TestDoubleRayleigh:
         # the rejection-heavy spec takes the redraw path
         assert (total > 0) == (spec.reference_rtt == 0.04)
 
+    @pytest.mark.parametrize("paths", [
+        [(8, 3), (2**63, 1), (2**64 - 1, 0), (2**70, 2)],
+        np.array([(8, 3), (2**63, 1), (2**64 - 1, 0), (5, 2**33)], dtype=np.uint64),
+        np.array([(8, 3), (8, 4), (0, 2**31 - 1)], dtype=np.int32),
+    ], ids=["python-ints", "uint64", "int32"])
+    def test_index_path_dtypes_match_the_reference(self, paths):
+        spec = FadingSpec(8, 8, 8, 0.04, seed=5)
+        stack, rejections = sample_double_rayleigh(spec, paths)
+        for i, path in enumerate(paths):
+            h, attempts = _reference_draw(spec, tuple(int(w) for w in path))
+            assert rejections[i] == attempts
+            assert np.array_equal(stack[i].matrix, h)
+
+    def test_index_paths_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, seed=3), [(1,), (2, 3)])
+
     @pytest.mark.parametrize(
         "spec", [FadingSpec(4, 4, 2, 1e-5, seed=3), FadingSpec(8, 8, 8, 0.04, seed=5)]
     )
@@ -572,6 +589,21 @@ class TestDoubleRayleigh:
             assert rejections[i] == attempts
             assert np.array_equal(stack[i].matrix, h)
         assert np.all(decompose_channel(stack.matrix).spectral_norm <= 1.0 + PHYSICALITY_SLACK)
+
+    @pytest.mark.parametrize("spec, redrawn", [
+        (FadingSpec(8, 8, 8, 0.04, seed=5), True),
+        (FadingSpec(8, 8, 8, 1e-5, seed=5), False),
+    ], ids=["redrawn", "attempt-0-only"])
+    def test_trace_power_is_that_of_the_returned_matrices(self, spec, redrawn):
+        # the sampler certifies attempt 0 by its trace power: a stack that
+        # needs redraws must not report it
+        stack, rejections = sample_double_rayleigh(spec, [(8, t) for t in range(80)])
+        assert (rejections.sum() > 0) == redrawn
+        # only a stack certified whole at attempt 0 arrives with its power
+        assert ("trace_power" in vars(stack)) == (not redrawn)
+        fresh = np.sum(np.abs(stack.matrix) ** 2, axis=(-2, -1))
+        assert np.array_equal(stack.trace_power, fresh)
+        assert np.all(stack.is_physical)
 
     def test_no_draws_give_an_empty_stack(self):
         stack, rejections = sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, seed=3), [])

@@ -826,10 +826,12 @@ def test_config_error_exits_2_with_empty_stdout(capsys, monkeypatch, tmp_path, c
 
 
 def test_draw_past_the_block_seeder_accepted(capsys):
-    # a path word of 2**32 or more falls back to substream
-    code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={2**32}"])
-    assert code == 0
-    assert "rank,2" in out
+    # a path word of 2**32 or more falls back to substream; one of 2**63 or
+    # more does not fit the sampler's int64 keys either
+    for draw in (2**32, 2**63, 2**70):
+        code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={draw}"])
+        assert code == 0
+        assert "rank,2" in out
 
 
 # every command's named flags in parser order: the flag, its metavar, its help

@@ -389,6 +389,12 @@ ARGUMENT_CHECKS = {
                            "n_tx and rank must be >= 1"),
     "relative_gain-rank": (lambda: relative_gain(4, 0, 1e-3), ValueError,
                            "n_tx and rank must be >= 1"),
+    "emimo_mode_ratio-rank-nan": (lambda: emimo_mode_ratio(np.nan, 4), ValueError,
+                                  "rank must be >= 0 and n_rx >= 1"),
+    "relative_gain-n_tx-nan": (lambda: relative_gain(np.nan, 1, 1e-3), ValueError,
+                               "n_tx and rank must be >= 1"),
+    "relative_gain-rank-nan": (lambda: relative_gain(4, np.nan, 1e-3), ValueError,
+                               "n_tx and rank must be >= 1"),
 }
 
 

@@ -72,6 +72,62 @@ def test_fallback_equals_substream(seed, paths):
         assert np.array_equal(row, substream(seed, *path).standard_normal(33))
 
 
+def test_block_mixing_fast_rows_and_a_word_past_int64(monkeypatch):
+    # one word of 2**63 or more turns the block's words into Python integers;
+    # its other rows still take the block seeder
+    paths = [(1, 2, 0), (2**63, 1, 0), (3, 4, 5), (2**64 - 1, 0, 0), (2**32 - 1, 7, 1)]
+    fallback = []
+
+    def recording(seed, *path):
+        fallback.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(rng, "substream", recording)
+    got = standard_normals(7, paths, 29)
+    assert fallback == [paths[1], paths[3]]
+    for row, path in zip(got, paths):
+        assert np.array_equal(row, substream(7, *path).standard_normal(29)), path
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint32, np.int32])
+def test_numpy_integer_words_equal_substream(dtype):
+    paths = np.array([(1, 2, 0), (8, 199, 3), (0, 0, 0), (2**31 - 1, 5, 1)], dtype=dtype)
+    as_tuples = [tuple(int(w) for w in p) for p in paths]
+    got = standard_normals(2**40 + 3, paths, 21)
+    assert np.array_equal(got, standard_normals(2**40 + 3, as_tuples, 21))
+    # one numpy scalar per word, as a path of a list
+    scalars = [tuple(dtype(w) for w in p) for p in as_tuples]
+    assert np.array_equal(standard_normals(2**40 + 3, scalars, 21), got)
+    for row, path in zip(got, as_tuples):
+        assert np.array_equal(row, substream(2**40 + 3, *path).standard_normal(21))
+
+
+def test_more_seeds_than_the_seed_pool_cache_holds():
+    held = rng._seed_pool.cache_info().maxsize
+    seeds = [11 * s + 2**33 * (s % 3) for s in range(held + 5)]
+    paths = [(2, t, 0) for t in range(3)]
+    # twice over, so that each seed's second block finds its pool evicted
+    for _ in range(2):
+        for seed in seeds:
+            got = standard_normals(seed, paths, 9)
+            for row, path in zip(got, paths):
+                assert np.array_equal(row, substream(seed, *path).standard_normal(9))
+    assert rng._seed_pool.cache_info().currsize == held
+
+
+def test_seed_hash_runs_once_per_sweep():
+    # an 8-rank sweep seeds 8 x 3 blocks; the seed's 16 hash steps run once
+    rng._seed_pool.cache_clear()
+    spec = ExperimentSpec(
+        n_tx=8, n_rx=8, rank_sweep=tuple(range(1, 9)), reference_rtt=1e-5,
+        qi=QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9), trials=150, seed=2**50 + 9,
+        channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
+    )
+    run_rank_sweep(spec)
+    info = rng._seed_pool.cache_info()
+    assert (info.misses, info.hits) == (1, 8 * 3 - 1)
+
+
 def test_no_paths_give_no_rows():
     assert standard_normals(7, [], 5).shape == (0, 5)
 
