@@ -20,11 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateLinkError,
-    NonPhysicalChannelError,
-    NonPhysicalLinkError,
-)
+from .errors import DegenerateLinkError, NonPhysicalChannelError, NonPhysicalLinkError
 from .rng import standard_normals
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -112,11 +108,17 @@ def round_trip_transmissivity(lb: LinkBudget) -> float:
     NonPhysicalLinkError
         If the parameters give a transmissivity above one.
     DegenerateLinkError
-        If the result underflows to zero.
+        If the formula leaves the float range: a factor over- or underflows,
+        or the result is not a positive finite number.
     """
-    num = lb.antenna_gain**2 * SPEED_OF_LIGHT**2 * lb.qrcs
-    den = 16.0 * np.pi * lb.angular_frequency**2 * lb.dist_tx_tag**2 * lb.dist_tag_rx**2
-    eta = num / den
+    try:
+        num = lb.antenna_gain**2 * SPEED_OF_LIGHT**2 * lb.qrcs
+        den = 16.0 * np.pi * lb.angular_frequency**2 * lb.dist_tx_tag**2 * lb.dist_tag_rx**2
+        eta = num / den
+    except (OverflowError, ZeroDivisionError):  # a square overflows, or den underflows
+        eta = np.nan
+    if not 0.0 < eta < np.inf:  # written as "not within", so that a NaN fails
+        raise DegenerateLinkError(f"round-trip transmissivity of {lb} leaves the float range")
     if eta > 1.0:
         if eta <= 1.0 + 1e-12:
             # parameter cancellations may round one ulp above unity
@@ -124,8 +126,6 @@ def round_trip_transmissivity(lb: LinkBudget) -> float:
         raise NonPhysicalLinkError(
             f"round-trip transmissivity {eta} exceeds 1; link parameters are inconsistent"
         )
-    if eta == 0.0:
-        raise DegenerateLinkError("round-trip transmissivity underflowed to zero")
     return float(eta)
 
 
@@ -429,24 +429,6 @@ class FadingSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _draw_keys(draws) -> np.ndarray:
-    """One row per draw: its index path, then a word for the attempt.  The
-    rows are ``int64``, or Python integers when a word does not fit."""
-    try:
-        paths = np.array(draws, dtype=np.int64)
-    except OverflowError:
-        paths = None
-    # an unsigned array's word of 2**63 or more wraps to a negative one; a
-    # negative word is kept as given, for substream to reject
-    if paths is None or (paths < 0).any():
-        paths = np.array(draws, dtype=object)
-    if paths.ndim == 1:  # one index per draw
-        paths = paths[:, None]
-    keys = np.zeros((len(paths), paths.shape[1] + 1), dtype=paths.dtype)
-    keys[:, :-1] = paths
-    return keys
-
-
 def _fading_draws(spec: FadingSpec, keys: np.ndarray) -> np.ndarray:
     """The raw channels of the ``(B, k)`` draw keys (index path, then attempt),
     stacked.
@@ -502,7 +484,14 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
         or if the index paths differ in length.
     """
     one = np.isscalar(draws)
-    keys = _draw_keys([draws] if one else draws)
+    draws = [draws] if one else draws
+    paths = np.array(draws)  # paths of different lengths raise here
+    if paths.dtype.kind not in "iu":  # numpy reads a value past int64 as a float or object
+        paths = np.array(draws, dtype=object)
+    paths = paths[:, None] if paths.ndim == 1 else paths  # one index per draw
+    # one row per draw: its index path, then a word for the attempt
+    keys = np.zeros((len(paths), paths.shape[1] + 1), dtype=paths.dtype)
+    keys[:, :-1] = paths
     rejections = np.zeros(len(keys), dtype=int)
     pending = np.arange(len(keys))
     for attempt in range(MAX_RESAMPLES):

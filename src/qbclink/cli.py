@@ -29,7 +29,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ConfigError, NonPhysicalChannelError, NonUnitaryInputError
+from .errors import (
+    ConfigError,
+    NonPhysicalChannelError,
+    NonPhysicalLinkError,
+    NonUnitaryInputError,
+)
 
 
 def __getattr__(name):
@@ -188,7 +193,7 @@ KEYS = {key.name: key for key in (
     Key("nt", _count, flag="--nt"),
     Key("nr", _count, flag="--nr"),
     Key("eta", _real, flag="--eta"),
-    # the range of a fading spec and of the block seeder
+    # the range of a fading spec and of a sweep spec
     Key("seed", _number(int, 0, 2**64 - 1, "lie in [0, 2**64 - 1]"), flag="--seed"),
     Key("ns", _real, flag="--ns"),
     Key("nz", _real, flag="--nz"),
@@ -233,10 +238,10 @@ def _write_lines(path, lines) -> None:
 
 def _spec(factory, *args, **kwargs):
     """``factory(*args, **kwargs)``, whose own ValueError is a validation
-    failure, except a non-physical channel."""
+    failure, except a non-physical channel or link."""
     try:
         return factory(*args, **kwargs)
-    except NonPhysicalChannelError:
+    except (NonPhysicalChannelError, NonPhysicalLinkError):
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -248,7 +253,7 @@ def cmd_link_budget(args) -> int:
     cfg = _merge_config(args)
     # the command lists the LinkBudget fields in order
     budget = _spec(LinkBudget, *(cfg[name] for name in cfg.defaults))
-    eta = round_trip_transmissivity(budget)
+    eta = _spec(round_trip_transmissivity, budget)
     print(f"eta,{eta:.17g}")
     if args.out:
         _write_lines(args.out, ["eta", f"{eta:.17g}"])
@@ -346,7 +351,7 @@ def cmd_ber(args) -> int:
     for receiver in receivers:
         for modes in grid:
             params = _spec(qi.QiParams, n_signal, n_thermal, float(modes), receiver)
-            beta = qi.siso_snr(eta, params)
+            beta = _spec(qi.siso_snr, eta, params)
             ber = qi.chernoff_ber(beta, float(modes))
             lines.append(f"{receiver.value},{modes:.17g},{beta:.17g},{ber:.17g}")
     print("\n".join(lines))

@@ -33,7 +33,7 @@ from .channel import (
     decompose_channel,
     sample_double_rayleigh,
 )
-from .qi import Protocol, QiParams, _snr, emimo_snr, pmimo_snr
+from .qi import Protocol, QiParams, _link_snr, emimo_snr, pmimo_snr
 
 REJECTION_ABORT_FRACTION = 0.01
 # Fading trials drawn, factorized and evaluated as one stack: the sweep's unit
@@ -85,6 +85,7 @@ class ExperimentSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0.0 < self.reference_rtt < 1.0:
             raise ValueError("reference_rtt must lie in (0, 1)")
+        _link_snr(self.reference_rtt, self.qi)  # the baseline every ratio divides by
         if self.channel_kind is ChannelKind.DETERMINISTIC and self.reference_rtt > 1 / self.n_tx:
             raise ValueError(f"reference_rtt must be at most 1/n_tx = {1 / self.n_tx:.6g} "
                              f"for a passive deterministic channel, got {self.reference_rtt}")
@@ -211,7 +212,7 @@ def _aggregate(rank, protocol, parts, rejected) -> EnsembleResult:
 
 def _ratio_pair(spec: ExperimentSpec, stack: ChannelMatrix, coherent: bool = True):
     """The paired and the eigen ``_ratios`` of a stack of channels."""
-    baseline = _snr(spec.reference_rtt, spec.qi)
+    baseline = _link_snr(spec.reference_rtt, spec.qi)
     return (_ratios(pmimo_snr(stack, spec.qi, coherent) / baseline),
             _ratios(emimo_snr(stack, spec.qi) / baseline))
 

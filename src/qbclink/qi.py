@@ -112,6 +112,19 @@ def _snr(transmissivity, params: QiParams):
     return transmissivity * params.n_signal / params.n_thermal
 
 
+def _link_snr(eta: float, params: QiParams) -> float:
+    """``_snr`` of one transmissivity ``eta``, checked: it must be finite, and
+    not underflow to 0 from a positive ``eta``."""
+    snr = _snr(eta, params)
+    # written as "not within", so that a NaN fails
+    if not (snr < np.inf and (snr > 0.0 or eta == 0.0)):
+        raise ValueError(
+            f"link SNR eta * ns / nz {'underflows to 0' if snr == 0.0 else 'is not finite'}"
+            f": eta={eta}, ns={params.n_signal}, nz={params.n_thermal}"
+        )
+    return snr
+
+
 def siso_snr(eta: float, params: QiParams) -> float:
     """Single-channel SNR for the configured receiver.
 
@@ -121,7 +134,7 @@ def siso_snr(eta: float, params: QiParams) -> float:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    return params.receiver.snr_coefficient * _snr(eta, params)
+    return params.receiver.snr_coefficient * _link_snr(eta, params)
 
 
 def chernoff_ber(beta: float, modes: float) -> float:
@@ -263,7 +276,7 @@ def protocol_reports(
     """
     if not 0.0 < reference_rtt <= 1.0:
         raise ValueError(f"reference_rtt must lie in (0, 1], got {reference_rtt}")
-    baseline = _snr(reference_rtt, params)
+    baseline = _link_snr(reference_rtt, params)
     rows = []
     for protocol, beta in (
         (Protocol.SISO, baseline),

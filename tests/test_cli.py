@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -782,8 +783,15 @@ THREE_PATHS = STEERED_TWO_PATH + "".join(
 TWO_PATH_REPORT = ["channel", "--config", "c.cfg", "--ns", "0.01", "--nz", "100"]
 # a config text (or none), the command, and the exact message it exits 2 with:
 # a report's reference transmissivity outside (0, 1], a deterministic sweep
-# outside its passive range, a wrong path count, a report key alone, and an
-# unknown channel kind
+# outside its passive range, a wrong path count, a report key alone, an
+# unknown channel kind, and a transmissivity or link SNR eta * ns / nz that
+# leaves the float range
+LINK_BUDGET_AT_RR = ["link-budget", "--g", "1", "--omega", "1e9", "--sigma-q", "1", "--rt", "1",
+                     "--rr"]
+FLOAT_RANGE = ("round-trip transmissivity of LinkBudget(antenna_gain=1.0, "
+               "angular_frequency=1000000000.0, qrcs=1.0, dist_tx_tag=1.0, dist_tag_rx={}) "
+               "leaves the float range")
+SWEEP_2X2 = ["sweep", "--nt", "2", "--nr", "2", "--trials", "5"]
 CONFIG_ERRORS = {
     "report-eta-zero": (STEERED_TWO_PATH, TWO_PATH_REPORT + ["--eta", "0"],
                         "reference_rtt must lie in (0, 1], got 0.0"),
@@ -810,7 +818,18 @@ CONFIG_ERRORS = {
     "two-path-modes-alone": (STEERED_TWO_PATH,
                              ["channel", "--config", "c.cfg", "--set", "modes=1e6"],
                              "missing required key 'ns'"),
+    "link-budget-rr-tiny": (None, LINK_BUDGET_AT_RR + ["1e-320"], FLOAT_RANGE.format("1e-320")),
+    "link-budget-rr-huge": (None, LINK_BUDGET_AT_RR + ["1e308"], FLOAT_RANGE.format("1e+308")),
+    "sweep-eta-tiny": (None, SWEEP_2X2 + ["--eta", "1e-320"],
+                       "link SNR eta * ns / nz underflows to 0: eta=1e-320, ns=0.01, nz=100.0"),
+    "sweep-ns-tiny": (None, SWEEP_2X2 + ["--ns", "1e-320"],
+                      "link SNR eta * ns / nz underflows to 0: eta=1e-05, ns=1e-320, nz=100.0"),
+    "ber-nz-tiny": (None, ["ber", "--nz", "1e-320"],
+                    "link SNR eta * ns / nz is not finite: eta=1e-05, ns=0.01, nz=1e-320"),
 }
+# cases whose operating point lies outside the quantum-illumination regime,
+# which QiParams warns of by design
+OPERATING_POINT_WARNED = {"ber-nz-tiny"}
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
@@ -819,19 +838,34 @@ def test_config_error_exits_2_with_empty_stdout(capsys, monkeypatch, tmp_path, c
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "c.cfg").write_text(text)
-    code, out, err = run(capsys, argv)
+    with (pytest.warns(UserWarning, match="operating point") if case in OPERATING_POINT_WARNED
+          else contextlib.nullcontext()):
+        code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
 
 
+# the channel of a draw of 2**32 or more, whose path the seeder splits into
+# more 32-bit words; one of 2**63 or more does not fit int64 either
+WIDE_DRAW_PINS = {
+    2**32: ("spectral_norm,0.0079466638658196344\n"
+            "eta_k,6.3149466596323456e-05 3.0215321052045569e-05 "
+            "1.907253856736309e-36 2.978135344977133e-38\n"),
+    2**63: ("spectral_norm,0.0081759855603281452\n"
+            "eta_k,6.684673988269434e-05 7.1793171440331761e-06 "
+            "1.5638575857582235e-36 8.2382423722569553e-39\n"),
+    2**70: ("spectral_norm,0.0077704435629583502\n"
+            "eta_k,6.0379793165120862e-05 2.0948547536314553e-05 "
+            "2.7401028900724375e-37 2.7108483050340463e-38\n"),
+}
+
+
 def test_draw_past_the_block_seeder_accepted(capsys):
-    # a path word of 2**32 or more falls back to substream; one of 2**63 or
-    # more does not fit the sampler's int64 keys either
-    for draw in (2**32, 2**63, 2**70):
+    for draw, pinned in WIDE_DRAW_PINS.items():
         code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={draw}"])
         assert code == 0
-        assert "rank,2" in out
+        assert out == "shape,4,4\nrank,2\n" + pinned, draw
 
 
 # every command's named flags in parser order: the flag, its metavar, its help

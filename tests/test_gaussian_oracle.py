@@ -487,8 +487,8 @@ def substream_draw(seed, trial, max_n):
 @pytest.mark.parametrize(
     "seed, trials",
     [(0, range(40)), (2**64 - 1, range(5, 45)),
-     (7, range(2**32 - 2, 2**32 + 2)),  # the last two trials take substream itself
-     (2**64, range(3))],  # so does every trial of a seed of 2**64
+     (7, range(2**32 - 2, 2**32 + 2)),  # the last two trials' paths are two words
+     (2**64, range(3))],  # a seed of 2**64 is three words
     ids=["seed-0", "seed-2^64-1", "trial-2^32", "seed-2^64"],
 )
 @pytest.mark.parametrize("max_n", [1, 8, 64])
@@ -512,6 +512,6 @@ def test_in_range_run_builds_no_substream(monkeypatch):
     monkeypatch.setattr(rng, "substream", counting)
     run_oracle(PARAMS, 100, 2**64 - 1)
     assert calls == []
-    # the fallback still runs through substream, once per trial
+    # nor does a trial of 2**32 or more
     oracle_channel(7, 2**32)
-    assert calls == [(2**32,)]
+    assert calls == []

@@ -1,11 +1,13 @@
 """What importing qbclink and running one command loads, and the names the
 package serves without loading them up front."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,27 @@ def test_run_oracle_checks_is_served_at_the_cli_path():
     assert run_oracle_checks is defined
     with pytest.raises(AttributeError):
         cli.no_such_name  # noqa: B018
+
+
+def _calls(tree, name) -> list:
+    """The lines of ``tree``'s calls to a function named ``name``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_no_module_calls_the_reference_substream():
+    # substream is the reference the block seeder is tested against; the
+    # program seeds every stream through rng.row_generators
+    modules = sorted(Path(SRC, "qbclink").glob("*.py"))
+    assert "rng.py" in [path.name for path in modules]
+    calls = {}
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        if path.name == "rng.py":  # all but the definition itself
+            tree.body = [node for node in tree.body if getattr(node, "name", "") != "substream"]
+        if lines := _calls(tree, "substream"):
+            calls[path.name] = lines
+    assert calls == {}
 
 
 def test_parser_built_once_serves_a_valid_call_after_a_failed_one(capsys):

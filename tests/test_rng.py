@@ -63,8 +63,12 @@ def test_normals_match_substream(k):
         (7, [tuple(range(17)), tuple(range(1, 18))]),  # longer than the hash table
         (7, [(1,), (2, 3), (4, 5, 6)]),  # ragged
         (7, [()]),  # no path words
+        (7, [(2**600, 1, 0), (3, 4, 5)]),  # 19 words in one value, 21 in the path
+        (2**200, [(1, 2, 0), (3,), ()]),  # the seed's words past the fourth lead the path
+        (7, [(1, 2, 0), (5, 2**33 - 1, 0), (2**32 - 1, 3, 0)]),  # one 33-bit word
     ],
-    ids=["word-2^32", "seed-2^64", "seed-2^70", "17-words", "ragged", "empty-path"],
+    ids=["word-2^32", "seed-2^64", "seed-2^70", "17-words", "ragged", "empty-path",
+         "word-2^600", "seed-2^200", "33-bit-word-among-32-bit-rows"],
 )
 def test_fallback_equals_substream(seed, paths):
     got = standard_normals(seed, paths, 33)
@@ -73,18 +77,18 @@ def test_fallback_equals_substream(seed, paths):
 
 
 def test_block_mixing_fast_rows_and_a_word_past_int64(monkeypatch):
-    # one word of 2**63 or more turns the block's words into Python integers;
-    # its other rows still take the block seeder
+    # a word of 2**63 or more, which int64 cannot hold, is split into 32-bit
+    # words like any other value: every row takes the block seeder
     paths = [(1, 2, 0), (2**63, 1, 0), (3, 4, 5), (2**64 - 1, 0, 0), (2**32 - 1, 7, 1)]
-    fallback = []
+    calls = []
 
     def recording(seed, *path):
-        fallback.append(path)
+        calls.append(path)
         return substream(seed, *path)
 
     monkeypatch.setattr(rng, "substream", recording)
     got = standard_normals(7, paths, 29)
-    assert fallback == [paths[1], paths[3]]
+    assert calls == []
     for row, path in zip(got, paths):
         assert np.array_equal(row, substream(7, *path).standard_normal(29)), path
 
@@ -175,6 +179,6 @@ def test_fading_path_builds_no_substream(monkeypatch):
     assert rejections.sum() > 0
     assert calls == []
 
-    # the fallback still runs through substream, once per attempt
-    _, rejections = sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
-    assert len(calls) == 1 + int(rejections[0])
+    # nor does a draw whose path holds a word of 2**32 or more
+    sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
+    assert calls == []
