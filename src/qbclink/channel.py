@@ -160,6 +160,9 @@ class _Path:
             raise ValueError(
                 f"path transmissivity must lie in [0, 1], got {self.transmissivity}"
             )
+        # written as "not within", so that a NaN fails
+        if not abs(self.phase) < np.inf:
+            raise ValueError(f"path phase must be finite, got {self.phase}")
         for f in fields(self)[2:]:
             _check_cosine(getattr(self, f.name))
 

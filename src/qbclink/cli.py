@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 runtime failure, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib
 import os
@@ -174,7 +175,8 @@ def _path_list(factory_path: str, fields):
                 if field not in entry:
                     raise ConfigError(f"{where}: missing required key '{field}'")
                 numbers.append(_real(f"{where}.{field}", entry[field]))
-            paths.append(_spec(factory, *numbers))
+            with _validating():
+                paths.append(factory(*numbers))
         return paths
 
     return convert
@@ -227,20 +229,27 @@ _CHANNEL_KINDS = {
 }
 
 
-def _write_lines(path, lines) -> None:
+# lines joined per write, so a file's text is never held whole
+_WRITE_CHUNK_LINES = 4096
+
+
+def _write_lines(path, lines: list) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for start in range(0, len(lines), _WRITE_CHUNK_LINES):
+            fh.write("\n".join(lines[start : start + _WRITE_CHUNK_LINES]) + "\n")
 
 
 # -- commands ---------------------------------------------------------------
 # Each command imports the modules it runs, so it loads only those.
 
 
-def _spec(factory, *args, **kwargs):
-    """``factory(*args, **kwargs)``, whose own ValueError is a validation
-    failure, except a non-physical channel or link."""
+@contextlib.contextmanager
+def _validating():
+    """A ValueError the block raises is a validation failure, except a
+    non-physical channel or link.  The block calls each constructor itself,
+    so a warning the constructor gives points at the command's line."""
     try:
-        return factory(*args, **kwargs)
+        yield
     except (NonPhysicalChannelError, NonPhysicalLinkError):
         raise
     except ValueError as exc:
@@ -252,8 +261,9 @@ def cmd_link_budget(args) -> int:
 
     cfg = _merge_config(args)
     # the command lists the LinkBudget fields in order
-    budget = _spec(LinkBudget, *(cfg[name] for name in cfg.defaults))
-    eta = _spec(round_trip_transmissivity, budget)
+    with _validating():
+        budget = LinkBudget(*(cfg[name] for name in cfg.defaults))
+        eta = round_trip_transmissivity(budget)
     print(f"eta,{eta:.17g}")
     if args.out:
         _write_lines(args.out, ["eta", f"{eta:.17g}"])
@@ -271,18 +281,20 @@ def _build_channel(cfg: _Config):
         paths = cfg["paths"]
         if len(paths) != 2:
             raise ConfigError(f"key 'paths' must list exactly two paths, got {len(paths)}")
-        return _spec(channel.build_two_path_channel, paths, cfg["spacing"])
+        with _validating():
+            return channel.build_two_path_channel(paths, cfg["spacing"])
     if kind == "clutter":
-        return _spec(
-            channel.build_clutter_channel,
-            cfg["tx_paths"],
-            cfg["rx_paths"],
-            n_tx=cfg["nt"],
-            n_tag=cfg["nb"],
-            n_rx=cfg["nr"],
-            spacing=cfg["spacing"],
-        )
-    spec = _spec(channel.FadingSpec, cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
+        with _validating():
+            return channel.build_clutter_channel(
+                cfg["tx_paths"],
+                cfg["rx_paths"],
+                n_tx=cfg["nt"],
+                n_tag=cfg["nb"],
+                n_rx=cfg["nr"],
+                spacing=cfg["spacing"],
+            )
+    with _validating():
+        spec = channel.FadingSpec(cfg["nt"], cfg["nr"], cfg["nb"], cfg["eta"], cfg["seed"])
     # the sampler gives no factors; the report's values come from the full SVD
     draw = channel.sample_double_rayleigh(spec, cfg["draw"])[0]
     return channel.decompose_channel(draw.matrix)
@@ -294,9 +306,11 @@ def cmd_channel(args) -> int:
     cfg = _merge_config(args)
     report = not {"ns", "nz", "modes"}.isdisjoint(cfg.values) or (
         "eta" in cfg and cfg["kind"] != "fading")
-    params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
+    with _validating():
+        params = qi.QiParams(cfg["ns"], cfg["nz"], cfg["modes"]) if report else None
     cm = _build_channel(cfg)
-    rows = _spec(qi.protocol_reports, cm, params, cfg["eta"]) if report else []
+    with _validating():
+        rows = qi.protocol_reports(cm, params, cfg["eta"]) if report else []
     print(f"shape,{cm.n_rx},{cm.n_tx}")
     print(f"rank,{cm.rank}")
     print(f"spectral_norm,{cm.spectral_norm:.17g}")
@@ -350,8 +364,9 @@ def cmd_ber(args) -> int:
     lines = ["receiver,modes,beta,ber"]
     for receiver in receivers:
         for modes in grid:
-            params = _spec(qi.QiParams, n_signal, n_thermal, float(modes), receiver)
-            beta = _spec(qi.siso_snr, eta, params)
+            with _validating():
+                params = qi.QiParams(n_signal, n_thermal, float(modes), receiver)
+                beta = qi.siso_snr(eta, params)
             ber = qi.chernoff_ber(beta, float(modes))
             lines.append(f"{receiver.value},{modes:.17g},{beta:.17g},{ber:.17g}")
     print("\n".join(lines))
@@ -368,19 +383,19 @@ def cmd_sweep(args) -> int:
     n_rx = cfg["nr"]
     kind = cfg["channel"]
     ranks = cfg["ranks"] if "ranks" in cfg else tuple(range(1, min(n_tx, n_rx) + 1))
-    spec = _spec(
-        montecarlo.ExperimentSpec,
-        n_tx=n_tx,
-        n_rx=n_rx,
-        rank_sweep=ranks,
-        reference_rtt=cfg["eta"],
-        # mode gains are ratios of SNRs, so no sweep output depends on the
-        # mode count or the receiver
-        qi=_spec(qi.QiParams, cfg["ns"], cfg["nz"], modes=1e9),
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        channel_kind=kind,
-    )
+    with _validating():
+        spec = montecarlo.ExperimentSpec(
+            n_tx=n_tx,
+            n_rx=n_rx,
+            rank_sweep=ranks,
+            reference_rtt=cfg["eta"],
+            # mode gains are ratios of SNRs, so no sweep output depends on the
+            # mode count or the receiver
+            qi=qi.QiParams(cfg["ns"], cfg["nz"], modes=1e9),
+            trials=cfg["trials"],
+            seed=cfg["seed"],
+            channel_kind=kind,
+        )
     # checked before any pool is built: the pool forks every worker at once
     workers = cfg["workers"]
     cpus = os.cpu_count() or 1
@@ -408,7 +423,9 @@ def cmd_oracle(args) -> int:
     from . import gaussian, qi
 
     cfg = _merge_config(args)
-    params = _spec(qi.QiParams, cfg["ns"], cfg["nz"], modes=1e9)
+    with _validating():
+        params = qi.QiParams(cfg["ns"], cfg["nz"], modes=1e9)
+        gaussian._check_oracle_range(params)
     report = gaussian.run_oracle(params, cfg["trials"], cfg["seed"], cfg["max_n"])
     for name, value in report.worst.items():
         print(f"{name},{value:.17g}")

@@ -372,6 +372,17 @@ class OracleReport:
         return all(self.worst[name] <= tol for name, tol in ORACLE_TOLERANCES.items())
 
 
+def _check_oracle_range(params: QiParams) -> None:
+    """Raise ValueError, naming ``ns`` or ``nz``, unless the oracle's float64
+    moments hold the operating point: a covariance entry ``Ns + 1/2`` keeps
+    ``Ns`` only above 2**-54, and the source's cross-correlation ``sqrt(Ns (Ns
+    + 1))`` and the sums of thermal covariances stay finite up to 2**511."""
+    if not 2.0**-54 < params.n_signal <= 2.0**511:
+        raise ValueError(f"ns must lie in (2**-54, 2**511] for the oracle, got {params.n_signal}")
+    if not params.n_thermal <= 2.0**511:
+        raise ValueError(f"nz must be at most 2**511 for the oracle, got {params.n_thermal}")
+
+
 def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> OracleReport:
     """Run the oracle checks on the channels of trials ``0..trials-1`` of
     :func:`oracle_channel`.  Trials are drawn in blocks of
@@ -379,6 +390,7 @@ def run_oracle(params: QiParams, trials: int, seed: int, max_n: int = 8) -> Orac
     channels of one size in a block are checked in stacks of at most
     :data:`ORACLE_STACK_ENTRIES` matrix entries, so memory is bounded at any
     trial count.  A NaN deviation counts as the largest: it fails."""
+    _check_oracle_range(params)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if max_n < 1:

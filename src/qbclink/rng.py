@@ -13,14 +13,18 @@ algorithms under its stream-compatibility policy (NEP 19): the
 ``PCG64`` seeds itself with two 128-bit LCG steps (O'Neill,
 HMC-CS-2014-0905).  The block seeder hashes the seed once per seed
 (:func:`_seed_pool`), mixes in every path's words as ``uint32`` array
-operations and runs the LCG steps on Python integers, then sets the state of
-one reused ``PCG64`` per path.  ``SeedSequence`` hashes the 32-bit words of
-the seed, then of each path value, so one seeder takes every path: a block of
-``int64`` words below 2**32 as it stands, any other split row by row.
+operations and runs the LCG steps on ``uint64`` limbs (:func:`_pcg_states`).
+It then writes each path's ``(state, inc)`` straight into the state struct of
+the process's one ``PCG64`` through numpy views, and clears the struct's
+buffered 32-bit half (:func:`_generator`, built at the first draw, probes the
+struct's limb order).  ``SeedSequence`` hashes the 32-bit words of the seed,
+then of each path value, so one seeder takes every path: a block of ``int64``
+words below 2**32 as it stands, any other split row by row.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 import numpy as np
@@ -32,8 +36,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128): its 64-bit
+# limbs, and the 32-bit halves of the low limb for the high product
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_LO, _MULT_HI = np.uint64(_PCG_MULT & 2**64 - 1), np.uint64(_PCG_MULT >> 64)
+_MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32, _U32, _U63, _U1 = np.uint64(_MASK32), np.uint64(32), np.uint64(63), np.uint64(1)
 
 
 def _powers(init: int, mult: int, count: int) -> np.ndarray:
@@ -104,6 +112,66 @@ def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
+def _pcg_states(words: np.ndarray, limbs: tuple) -> np.ndarray:
+    """``PCG64``'s ``(state, inc)`` after seeding from each row of the
+    ``(B, 4)`` uint64 ``words``, as ``(B, 4)`` uint64 limbs in the struct
+    order ``limbs`` gives: the columns of state low, state high, inc low and
+    inc high.
+
+    ``pcg_setseq_128_srandom_r``: ``inc = initseq << 1 | 1``, then ``state =
+    ((inc + initstate) * mult + inc) mod 2**128``, where ``initstate`` is
+    words 0 and 1 and ``initseq`` words 2 and 3, high word first.
+    """
+    s0, s1, s2, s3 = words.T
+    inc_lo = s3 << _U1 | _U1
+    inc_hi = s2 << _U1 | s3 >> _U63
+    t_lo = inc_lo + s1
+    t_hi = inc_hi + s0 + (t_lo < inc_lo)
+    # the high 64 bits of t_lo * mult_lo from 32-bit partial products
+    a0, a1 = t_lo & _LOW32, t_lo >> _U32
+    p01, p10 = a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    mid = (a0 * _MULT_LO_0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = a1 * _MULT_LO_1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    out = np.empty((len(words), 4), dtype=np.uint64)
+    state_lo = out[:, limbs[0]] = t_lo * _MULT_LO + inc_lo
+    out[:, limbs[1]] = high + t_lo * _MULT_HI + t_hi * _MULT_LO + inc_hi + (state_lo < inc_lo)
+    out[:, limbs[2]], out[:, limbs[3]] = inc_lo, inc_hi
+    return out
+
+
+@functools.cache
+def _generator():
+    """``(generator, lcg, buffer, limbs)``: the process's one ``PCG64``
+    generator, a uint64 view of its ``(state, inc)`` struct, a uint64 view of
+    its ``has_uint32``/``uinteger`` buffer, and where the view holds each limb
+    (:func:`_pcg_states`).
+
+    The limb order is probed, not assumed: a state of distinct limbs set
+    through the public setter is looked up in the view.  A compiler's
+    little-endian ``__uint128_t`` holds low, high; numpy's emulated one high,
+    low.
+    """
+    # numpy's pcg64_state: a pointer to the (state, inc) struct, then the
+    # has_uint32 and uinteger fields of the 32-bit buffer
+    bitgen = np.random.PCG64(0)
+    address = bitgen.ctypes.state_address
+    pointer = ctypes.c_void_p.from_address(address).value
+    lcg = np.frombuffer((ctypes.c_uint64 * 4).from_address(pointer), np.uint64)
+    after_pointer = address + ctypes.sizeof(ctypes.c_void_p)
+    buffer = np.frombuffer((ctypes.c_uint64 * 1).from_address(after_pointer), np.uint64)
+    probe = [0x0123456789ABCDEF, 0x1122334455667788, 0x0FEDCBA987654321, 0x8877665544332211]
+    bitgen.state = {
+        "bit_generator": "PCG64", "has_uint32": 1, "uinteger": 0x9E3779B9,
+        "state": {"state": probe[1] << 64 | probe[0], "inc": probe[3] << 64 | probe[2]},
+    }
+    found, buffered = lcg.tolist(), buffer.view(np.uint32).tolist()
+    for limbs in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        if [found[j] for j in limbs] == probe and buffered == [1, 0x9E3779B9]:
+            return np.random.Generator(bitgen), lcg, buffer, limbs
+    raise RuntimeError(f"numpy {np.__version__}: PCG64's state struct is not laid out "
+                       "as the block seeder writes it")
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a generator keyed by ``(seed, *path)``.
 
@@ -123,9 +191,10 @@ def row_generators(seed: int, paths):
     """Yield ``(row, generator)`` for each of the ``(B, k)`` ``paths``, the
     generator in the state ``substream(seed, *paths[row])`` starts in.
 
-    Every row shares one reused generator, so take a row's draws before
-    advancing to the next.  Paths may be ragged and their values as large as
-    Python integers go; a negative seed or path value raises ``ValueError``.
+    Every row of every call shares the process's one generator, so take a
+    row's draws before the next row of any ``row_generators`` iterator is
+    requested.  Paths may be ragged and their values as large as Python
+    integers go; a negative seed or path value raises ``ValueError``.
     """
     seed = int(seed)
     if seed < 0:
@@ -138,17 +207,11 @@ def row_generators(seed: int, paths):
         blocks = (([i], _split_row(seed, path)) for i, path in enumerate(paths))
     else:  # every word is one uint32 already
         blocks = [(range(len(words)), words.astype(np.uint32))]
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    lcg = {"state": 0, "inc": 0}  # set in place for each row
-    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    gen, lcg, buffer, limbs = _generator()
     for rows, block in blocks:
-        for i, (s0, s1, s2, s3) in zip(rows, _state_words(seed & _MASK128, block).tolist()):
-            # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then two LCG steps
-            # from 0 with initstate added in between
-            inc = lcg["inc"] = (s2 << 65 | s3 << 1 | 1) & _MASK128
-            lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = state
+        for i, row in zip(rows, _pcg_states(_state_words(seed & _MASK128, block), limbs)):
+            lcg[:] = row
+            buffer[0] = 0  # no 32-bit half left over from the previous row
             yield i, gen
 
 

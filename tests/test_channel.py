@@ -206,6 +206,12 @@ class TestTwoPathChannel:
         with pytest.raises(NonPhysicalChannelError):
             build_two_path_channel(paths, 0.5)
 
+    @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("path_class", [PropagationPath, ClutterPath])
+    def test_non_finite_phase_rejected(self, path_class, phase):
+        with pytest.raises(ValueError, match=f"path phase must be finite, got {phase}"):
+            path_class(0.01, phase, 0.3, 0.1)
+
 
 def _clutter_matrices(tx_paths, rx_paths, n_tx, n_tag, n_rx, spacing):
     """Loop-built clutter composition, independent of the channel module."""

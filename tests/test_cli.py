@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import hashlib
+import inspect
+import linecache
 import math
 import os
 import re
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import qbclink
-from qbclink import io, montecarlo
+from qbclink import cli, io, montecarlo
 from qbclink.cli import COMMANDS, KEYS, _merge_config, _real, build_parser, main
 from qbclink.errors import ConfigError
 
@@ -826,10 +828,22 @@ CONFIG_ERRORS = {
                       "link SNR eta * ns / nz underflows to 0: eta=1e-05, ns=1e-320, nz=100.0"),
     "ber-nz-tiny": (None, ["ber", "--nz", "1e-320"],
                     "link SNR eta * ns / nz is not finite: eta=1e-05, ns=0.01, nz=1e-320"),
+    # photon numbers the oracle's float64 moments cannot hold: no trial runs,
+    # so no numpy warning is given
+    "oracle-nz-huge": (None, ["oracle", "--trials", "5", "--nz", "1e308"],
+                       "nz must be at most 2**511 for the oracle, got 1e+308"),
+    "oracle-ns-huge": (None, ["oracle", "--trials", "5", "--ns", "1e308"],
+                       "ns must lie in (2**-54, 2**511] for the oracle, got 1e+308"),
+    "oracle-ns-tiny": (None, ["oracle", "--trials", "5", "--ns", "1e-320"],
+                       "ns must lie in (2**-54, 2**511] for the oracle, got 1e-320"),
+    # a path phase that is not finite
+    **{f"two-path-phase-{value}": (
+        STEERED_TWO_PATH, ["channel", "--config", "c.cfg", "--set", f"paths[1].phase={value}"],
+        f"path phase must be finite, got {value}") for value in ("inf", "-inf", "nan")},
 }
 # cases whose operating point lies outside the quantum-illumination regime,
 # which QiParams warns of by design
-OPERATING_POINT_WARNED = {"ber-nz-tiny"}
+OPERATING_POINT_WARNED = {"ber-nz-tiny", "oracle-ns-huge"}
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
@@ -844,6 +858,60 @@ def test_config_error_exits_2_with_empty_stdout(capsys, monkeypatch, tmp_path, c
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# each command that builds QiParams, at an operating point outside the
+# quantum-illumination regime, and the handler whose line asked for it
+OPERATING_POINT_SITES = {
+    "ber": (["ber", "--nz", "0.5", "--set", "m_points=2"], "cmd_ber"),
+    "channel": (FADING_CHANNEL + ["--seed", "1", "--ns", "2", "--nz", "100"], "cmd_channel"),
+    "sweep": (["sweep", "--nt", "2", "--nr", "2", "--trials", "3", "--ns", "2"], "cmd_sweep"),
+    "oracle": (["oracle", "--trials", "2", "--ns", "2"], "cmd_oracle"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPERATING_POINT_SITES))
+def test_operating_point_warning_points_at_the_command(capsys, command):
+    argv, handler = OPERATING_POINT_SITES[command]
+    with pytest.warns(UserWarning, match="operating point") as record:
+        code, _, _ = run(capsys, argv)
+    assert code == 0
+    source, first = inspect.getsourcelines(getattr(cli, handler))
+    for warning in record:
+        assert warning.filename == cli.__file__
+        assert first <= warning.lineno < first + len(source)
+        assert "qi.QiParams(" in linecache.getline(warning.filename, warning.lineno)
+
+
+class _RecordingFile:
+    """An open file that records the text of each ``write``."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+
+# line count -> lines per write; 3,201 is the benchmark sweep's raw file
+@pytest.mark.parametrize("count, chunks", [
+    (1, [1]), (3201, [3201]), (4096, [4096]), (4097, [4096, 1]), (10_000, [4096, 4096, 1808]),
+])
+def test_files_written_in_chunks_of_4096_lines(monkeypatch, tmp_path, count, chunks):
+    writes = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _RecordingFile(open(*a, **k), writes),
+                        raising=False)
+    lines = [f"row,{i}" for i in range(count)]
+    cli._write_lines(tmp_path / "out.csv", lines)
+    assert [text.count("\n") for text in writes] == chunks
+    assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # the channel of a draw of 2**32 or more, whose path the seeder splits into

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -229,6 +230,37 @@ def test_oracle_checks_pass_across_sizes():
         assert checks["emimo_max_cross"] <= 1e-10
         assert checks["emimo_max_moment_rel"] <= 1e-9
         assert checks["pmimo_max_photon_rel"] <= 1e-9
+
+
+# an operating point outside the photon numbers the oracle's moments hold
+@pytest.mark.parametrize("n_signal, n_thermal, message", [
+    (0.01, 1e308, "nz must be at most 2[*][*]511"),
+    (0.01, 2.0**511 * 1.5, "nz must be at most 2[*][*]511"),
+    (1.5 * 2.0**511, 1e4, "ns must lie in"),
+    (1e-320, 100.0, "ns must lie in"),
+    (2.0**-54, 100.0, "ns must lie in"),
+], ids=["nz-1e308", "nz-past-2^511", "ns-past-2^511", "ns-1e-320", "ns-2^-54"])
+def test_oracle_rejects_photon_numbers_its_moments_cannot_hold(monkeypatch, n_signal,
+                                                                n_thermal, message):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("an oracle trial ran")
+
+    monkeypatch.setattr(gaussian, "_oracle_stacks", no_trial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # outside the QI regime, by design
+        params = QiParams(n_signal, n_thermal, 1e9)
+    with pytest.raises(ValueError, match=message):
+        run_oracle(params, 5, 1)
+
+
+def test_oracle_at_the_edges_of_its_photon_range_gives_no_numpy_warning():
+    # the largest photon numbers it takes, at its largest size: every
+    # covariance sum stays finite (numpy warnings are errors in the tests)
+    with pytest.warns(UserWarning, match="operating point"):
+        params = QiParams(2.0**511, 2.0**511, 1e9)
+    assert np.isfinite(list(run_oracle(params, 12, 1, max_n=64).worst.values())).all()
+    smallest = QiParams(np.nextafter(2.0**-54, 1.0), 100.0, 1e9)
+    assert np.isfinite(list(run_oracle(smallest, 40, 1).worst.values())).all()
 
 
 def test_oracle_worst_trial_reproduces_from_its_seed():

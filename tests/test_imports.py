@@ -160,6 +160,30 @@ def test_no_module_calls_the_reference_substream():
     assert calls == {}
 
 
+def _identifiers(tree):
+    """Every name, attribute and imported top-level module ``tree`` mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield (node.module or "").split(".")[0]
+
+
+def test_only_rng_reaches_into_the_bit_generator():
+    # rng writes PCG64's state struct through views it probes once; any
+    # other module doing so would bypass that probe
+    raw = {"ctypes", "state_address"}
+    users = {}
+    for path in sorted(Path(SRC, "qbclink").glob("*.py")):
+        if found := raw & set(_identifiers(ast.parse(path.read_text()))):
+            users[path.name] = sorted(found)
+    assert users == {"rng.py": ["ctypes", "state_address"]}
+
+
 def test_parser_built_once_serves_a_valid_call_after_a_failed_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--no-such-flag", "1"])

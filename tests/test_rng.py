@@ -182,3 +182,66 @@ def test_fading_path_builds_no_substream(monkeypatch):
     # nor does a draw whose path holds a word of 2**32 or more
     sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
     assert calls == []
+
+
+def test_row_after_a_32_bit_draw_equals_substream():
+    # integers(1, 9) draws 32 bits and leaves the other half of its 64-bit
+    # word buffered; the next row must not start from it
+    paths = [(t,) for t in range(5)]
+    got = []
+    for _, gen in rng.row_generators(3, paths):
+        got.append((gen.integers(1, 9), gen.integers(1, 9), gen.standard_normal()))
+    expected = []
+    for path in paths:
+        gen = substream(3, *path)
+        expected.append((gen.integers(1, 9), gen.integers(1, 9), gen.standard_normal()))
+    assert got == expected
+
+
+def test_interleaved_iterators_each_match_substream():
+    # each row's draws are taken before the next row of either iterator
+    first = rng.row_generators(5, [(1, t) for t in range(6)])
+    second = rng.row_generators(2**40, [(2, t, 0) for t in range(6)] + [(2**33, 1, 0)])
+    for t in range(6):
+        _, gen = next(first)
+        a = gen.standard_normal(7)
+        _, gen = next(second)
+        b = gen.standard_normal(7)
+        assert np.array_equal(a, substream(5, 1, t).standard_normal(7))
+        assert np.array_equal(b, substream(2**40, 2, t, 0).standard_normal(7))
+    _, gen = next(second)  # a fallback row, after the block
+    assert np.array_equal(gen.standard_normal(7), substream(2**40, 2**33, 1, 0).standard_normal(7))
+    assert next(first, None) is None and next(second, None) is None
+
+
+def test_state_view_round_trips_the_public_state():
+    gen, lcg, buffer, limbs = rng._generator()
+    bitgen = gen.bit_generator
+    draws = np.random.default_rng(17).integers(0, 2**63, size=(16, 2, 4), dtype=np.uint64)
+    for given, written in (draws | np.uint64(2**63)).tolist():  # every word's top bit set
+        # set through the public setter, read through the view
+        state, inc = given[1] << 64 | given[0], given[3] << 64 | given[2]
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 1, "uinteger": given[0] & 0xFFFFFFFF}
+        assert [lcg[j] for j in limbs] == given
+        assert buffer.view(np.uint32).tolist() == [1, given[0] & 0xFFFFFFFF]
+        # written through the view, read through the public getter
+        lcg[list(limbs)] = written
+        buffer[0] = 0
+        state, inc = written[1] << 64 | written[0], written[3] << 64 | written[2]
+        assert bitgen.state == {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                "state": {"state": state, "inc": inc}}
+
+
+def test_generator_is_built_once_per_process():
+    # an 8-rank sweep seeds 8 x 3 blocks from the one cached generator
+    rng._generator.cache_clear()
+    spec = ExperimentSpec(
+        n_tx=8, n_rx=8, rank_sweep=tuple(range(1, 9)), reference_rtt=1e-5,
+        qi=QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9), trials=150, seed=4,
+        channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
+    )
+    run_rank_sweep(spec)
+    standard_normals(9, [(1,), (2**40,)], 3)  # a block and a fallback row
+    info = rng._generator.cache_info()
+    assert (info.misses, info.hits) == (1, 8 * 3)
