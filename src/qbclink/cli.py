@@ -125,14 +125,15 @@ _int = _number(int)
 _count = _number(int, 1)
 
 
-def _parse_ranks(name: str, value) -> tuple:
+def _parse_ranks(name: str, value) -> tuple | range:
     if isinstance(value, int):
         return (value,)
     text = str(value).strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return tuple(range(int(lo), int(hi) + 1))
+            # lazy, so that a huge range fails ExperimentSpec's bound check unbuilt
+            return range(int(lo), int(hi) + 1)
         except ValueError:
             raise ConfigError(f"bad rank range {text!r}") from None
     try:

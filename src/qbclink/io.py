@@ -56,12 +56,11 @@ def matrix_from_text(text: str) -> np.ndarray:
     n_rx, n_tx = int(header[0]), int(header[1])
     if len(lines) != n_rx + 1:
         raise ValueError(f"expected {n_rx} matrix rows, got {len(lines) - 1}")
-    out = np.empty((n_rx, n_tx), dtype=complex)
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
+    rows = [line.split() for line in lines[1:]]
+    for i, tokens in enumerate(rows):  # before an array of the header's size
         if len(tokens) != n_tx:
             raise ValueError(f"row {i} has {len(tokens)} entries, expected {n_tx}")
-        out[i] = [complex(tok) for tok in tokens]
+    out = np.array([[complex(tok) for tok in tokens] for tokens in rows], dtype=complex)
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix file contains non-finite entries")
     return out

@@ -11,15 +11,16 @@ draws a block's normals through it.  Both of numpy's seeding steps are fixed
 algorithms under its stream-compatibility policy (NEP 19): the
 ``SeedSequence`` pool is O'Neill's ``seed_seq_fe`` hash of 32-bit words, and
 ``PCG64`` seeds itself with two 128-bit LCG steps (O'Neill,
-HMC-CS-2014-0905).  The block seeder hashes the seed once per seed
-(:func:`_seed_pool`), mixes in every path's words as ``uint32`` array
-operations and runs the LCG steps on ``uint64`` limbs (:func:`_pcg_states`).
-It then writes each path's ``(state, inc)`` straight into the state struct of
-the process's one ``PCG64`` through numpy views, and clears the struct's
-buffered 32-bit half (:func:`_generator`, built at the first draw, probes the
-struct's limb order).  ``SeedSequence`` hashes the 32-bit words of the seed,
-then of each path value, so one seeder takes every path: a block of ``int64``
-words below 2**32 as it stands, any other split row by row.
+HMC-CS-2014-0905).  The block seeder takes the seed's part of the pool from
+numpy (``SeedSequence(seed).pool``), mixes in every path's words as
+``uint32`` array operations and runs the LCG steps on ``uint64`` limbs
+(:func:`_pcg_states`).  It then writes each path's ``(state, inc)`` straight
+into the state struct of the process's one ``PCG64`` through numpy views, and
+clears the struct's buffered 32-bit half (:func:`_generator`, built at the
+first draw, probes the struct's limb order).  ``SeedSequence`` hashes the
+32-bit words of the seed, then of each path value, so one seeder takes every
+seed and every path: a block of ``int64`` words below 2**32 as it stands, any
+other split row by row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import functools
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -54,8 +54,9 @@ def _powers(init: int, mult: int, count: int) -> np.ndarray:
 # The hash multiplier runs through init * mult**i, whatever the data, so
 # every step's constants are known ahead: hashmix step i XORs with _HASH_A[i]
 # and multiplies by _HASH_A[i + 1].  A spawned pool takes 4 steps for the
-# padded seed words, 12 to mix the pool, and 4 per path word; the table holds
-# paths of up to 16 words, and a longer one computes its own.
+# padded seed words, 12 to mix the pool, and 4 per later word (the seed's past
+# the fourth, then the path's); the table holds up to 16 later words, and more
+# compute their own.
 _HASH_A = _powers(_INIT_A, _MULT_A, 17 + 4 * 16)
 # generate_state(4, uint64): 8 words, cycling through the 4 pool words
 _STATE_B = _powers(_INIT_B, _MULT_B, 9)
@@ -80,29 +81,19 @@ def _words(value: int) -> list:
     return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> np.ndarray:
-    """The read-only pool of ``SeedSequence(seed, spawn_key=path)``, ``seed <
-    2**128``, before its first path word: the hash steps of the seed alone."""
-    # a spawned sequence pads its seed words with zeros to the pool size
-    pool = _hashmix(np.array((_words(seed) + [0] * 3)[:4], dtype=np.uint32), 0, 4)
-    step = 4
-    for src in range(4):
-        dst = np.arange(4) != src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], step, 3))
-        step += 3
-    pool.flags.writeable = False
-    return pool
-
-
 def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` for each
-    row of the ``(B, k)`` uint32 array ``words``; ``seed < 2**128``."""
+    row of the ``(B, k)`` uint32 array ``words``."""
     k = words.shape[1]
-    # every word's 4 hash steps at once: word j takes steps 16 + 4j .. 19 + 4j
-    hashed = _hashmix(np.repeat(words, 4, axis=1), 16, 4 * k).reshape(len(words), k, 4)
+    # SeedSequence(seed).pool is the spawned pool before its path: numpy pads
+    # a short seed with hashes of 0, as a spawned sequence pads it with zero
+    # words, and hashes a seed's words past the fourth like leading path
+    # words, 4 steps each after the padded pool's 16
+    step = 4 * max(len(_words(seed)), 4)
+    # every word's 4 hash steps at once: word j takes steps step + 4j .. step + 4j + 3
+    hashed = _hashmix(np.repeat(words, 4, axis=1), step, 4 * k).reshape(len(words), k, 4)
     # each path word then mixes into all four pool words of every row
-    pool = np.broadcast_to(_seed_pool(seed), (len(words), 4))
+    pool = np.broadcast_to(np.random.SeedSequence(seed).pool, (len(words), 4))
     for j in range(k):
         pool = _mix(pool, hashed[:, j])
     state = pool[:, _STATE_POOL] ^ _STATE_B[:8]
@@ -203,24 +194,24 @@ def row_generators(seed: int, paths):
         words = np.asarray(paths, dtype=np.int64)
     except (OverflowError, ValueError):  # a value of 2**63 or more, or ragged paths
         words = None
-    if seed >> 128 or words is None or words.ndim != 2 or (words >> 32).any():
-        blocks = (([i], _split_row(seed, path)) for i, path in enumerate(paths))
+    if words is None or words.ndim != 2 or (words >> 32).any():
+        blocks = (([i], _split_row(path)) for i, path in enumerate(paths))
     else:  # every word is one uint32 already
         blocks = [(range(len(words)), words.astype(np.uint32))]
     gen, lcg, buffer, limbs = _generator()
     for rows, block in blocks:
-        for i, row in zip(rows, _pcg_states(_state_words(seed & _MASK128, block), limbs)):
+        for i, row in zip(rows, _pcg_states(_state_words(seed, block), limbs)):
             lcg[:] = row
             buffer[0] = 0  # no 32-bit half left over from the previous row
             yield i, gen
 
 
-def _split_row(seed: int, path) -> np.ndarray:
-    """The ``(1, k)`` uint32 words of ``path``, led by the seed's past the fourth."""
+def _split_row(path) -> np.ndarray:
+    """The ``(1, k)`` uint32 words of ``path``."""
     key = tuple(int(v) for v in path)
     if min(key, default=0) < 0:
         raise ValueError(f"stream path must be non-negative, got {key}")
-    return np.array([_words(seed)[4:] + [w for v in key for w in _words(v)]], dtype=np.uint32)
+    return np.array([[w for v in key for w in _words(v)]], dtype=np.uint32)
 
 
 def standard_normals(seed: int, paths, size: int) -> np.ndarray:

@@ -172,12 +172,13 @@ class TestSweep:
             (["--ranks", "0..9"], "rank 0 outside [1, 8]"),
             (["--ranks", "3..1"], "rank_sweep must be non-empty"),
             (["--ranks", "9"], "rank 9 outside [1, 8]"),
+            (["--ranks", f"1..{10**17}"], "rank 9 outside [1, 8]"),
             (["--nt", "8", "--nr", "4"], "the paired protocol needs n_tx == n_rx >= 1, got 8, 4"),
             (["--eta", "2"], "reference_rtt must lie in (0, 1)"),
             (["--set", "nt=2.5"], "key 'nt' must be an integer, got 2.5"),
             (["--ranks", "x..y"], "bad rank range 'x..y'"),
         ],
-        ids=["rank-0", "empty-range", "rank-9", "not-square", "eta-2", "nt-not-integer",
+        ids=["rank-0", "empty-range", "rank-9", "range-past-memory", "not-square", "eta-2", "nt-not-integer",
              "rank-range-not-integers"],
     )
     def test_spec_error_is_validation_failure_before_any_sweep(
@@ -1141,6 +1142,15 @@ def test_empty_matrix_header_named(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == ("error: matrix header must be 'N_r N_t', two integers of at least 1, "
                    "got '0 0'\n")
+
+
+def test_matrix_rows_checked_before_the_header_shape_is_allocated(capsys, tmp_path):
+    # a 1 x 10**17 complex matrix would take 1.39 EiB
+    matrix_file = tmp_path / "wide.txt"
+    matrix_file.write_text(f"1 {10**17}\n1+0j 2+0j\n")
+    code, out, err = run(capsys, ["decompose", str(matrix_file)])
+    assert (code, out) == (1, "")
+    assert err == f"error: row 0 has 2 entries, expected {10**17}\n"
 
 
 # each command of the README's "Command line" block, continuation lines joined

@@ -174,14 +174,15 @@ def _identifiers(tree):
 
 
 def test_only_rng_reaches_into_the_bit_generator():
-    # rng writes PCG64's state struct through views it probes once; any
-    # other module doing so would bypass that probe
-    raw = {"ctypes", "state_address"}
+    # rng writes PCG64's state struct through views it probes once, and
+    # hashes every seed; any other module doing so would bypass that probe
+    # or seed streams of its own
+    raw = {"SeedSequence", "ctypes", "state_address"}
     users = {}
     for path in sorted(Path(SRC, "qbclink").glob("*.py")):
         if found := raw & set(_identifiers(ast.parse(path.read_text()))):
             users[path.name] = sorted(found)
-    assert users == {"rng.py": ["ctypes", "state_address"]}
+    assert users == {"rng.py": ["SeedSequence", "ctypes", "state_address"]}
 
 
 def test_parser_built_once_serves_a_valid_call_after_a_failed_one(capsys):

@@ -49,6 +49,8 @@ class TestMatrixFormat:
             matrix_from_text("2 2\n1+0j 2+0j\n")
         with pytest.raises(ValueError):
             matrix_from_text("1 2\n1+0j\n")
+        with pytest.raises(ValueError, match="row 0 has 2 entries"):
+            matrix_from_text(f"1 {10**17}\n1+0j 2+0j\n")
         with pytest.raises(ValueError):
             matrix_from_text("1 1\nnan+0j\n")
 

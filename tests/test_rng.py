@@ -16,7 +16,7 @@ from qbclink.montecarlo import ChannelKind, ExperimentSpec, run_rank_sweep
 from qbclink.qi import QiParams
 from qbclink.rng import _state_words, standard_normals, substream
 
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200)
 
 
 def _random_seeds(gen, count):
@@ -44,7 +44,13 @@ def test_state_words_match_seed_sequence(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_normals_match_substream(k):
+def test_normals_match_substream(k, monkeypatch):
+    # rectangular paths of words below 2**32 are seeded as one block at every
+    # seed, however wide: no row is split
+    def no_split(path):
+        raise AssertionError(f"row {path} split")
+
+    monkeypatch.setattr(rng, "_split_row", no_split)
     gen = np.random.default_rng(200 + k)
     for seed in _random_seeds(gen, 2):
         paths = _random_paths(gen, k, count=6)
@@ -64,7 +70,7 @@ def test_normals_match_substream(k):
         (7, [(1,), (2, 3), (4, 5, 6)]),  # ragged
         (7, [()]),  # no path words
         (7, [(2**600, 1, 0), (3, 4, 5)]),  # 19 words in one value, 21 in the path
-        (2**200, [(1, 2, 0), (3,), ()]),  # the seed's words past the fourth lead the path
+        (2**200, [(1, 2, 0), (3,), ()]),  # a seed of 7 words, ragged paths
         (7, [(1, 2, 0), (5, 2**33 - 1, 0), (2**32 - 1, 3, 0)]),  # one 33-bit word
     ],
     ids=["word-2^32", "seed-2^64", "seed-2^70", "17-words", "ragged", "empty-path",
@@ -104,32 +110,6 @@ def test_numpy_integer_words_equal_substream(dtype):
     assert np.array_equal(standard_normals(2**40 + 3, scalars, 21), got)
     for row, path in zip(got, as_tuples):
         assert np.array_equal(row, substream(2**40 + 3, *path).standard_normal(21))
-
-
-def test_more_seeds_than_the_seed_pool_cache_holds():
-    held = rng._seed_pool.cache_info().maxsize
-    seeds = [11 * s + 2**33 * (s % 3) for s in range(held + 5)]
-    paths = [(2, t, 0) for t in range(3)]
-    # twice over, so that each seed's second block finds its pool evicted
-    for _ in range(2):
-        for seed in seeds:
-            got = standard_normals(seed, paths, 9)
-            for row, path in zip(got, paths):
-                assert np.array_equal(row, substream(seed, *path).standard_normal(9))
-    assert rng._seed_pool.cache_info().currsize == held
-
-
-def test_seed_hash_runs_once_per_sweep():
-    # an 8-rank sweep seeds 8 x 3 blocks; the seed's 16 hash steps run once
-    rng._seed_pool.cache_clear()
-    spec = ExperimentSpec(
-        n_tx=8, n_rx=8, rank_sweep=tuple(range(1, 9)), reference_rtt=1e-5,
-        qi=QiParams(n_signal=0.01, n_thermal=100.0, modes=1e9), trials=150, seed=2**50 + 9,
-        channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
-    )
-    run_rank_sweep(spec)
-    info = rng._seed_pool.cache_info()
-    assert (info.misses, info.hits) == (1, 8 * 3 - 1)
 
 
 def test_no_paths_give_no_rows():
