@@ -37,9 +37,23 @@ from .qi import Protocol, QiParams, _link_snr, emimo_snr, pmimo_snr
 
 REJECTION_ABORT_FRACTION = 0.01
 # Fading trials drawn, factorized and evaluated as one stack: the sweep's unit
-# of work, which bounds its memory at any trial count.  On 8x8 arrays blocks
-# of 256 were no faster than 64 and raised the peak RSS by a further 1.3 MB.
-FADING_BLOCK = 64
+# of work, which bounds its memory at any trial count.  Each stack has a fixed
+# cost of about 0.15 ms (seeding, assembly, keys, ratios).  run_rank_sweep on
+# 8x8 double-Rayleigh, ranks 1..8 unless marked, ms, the better of two
+# medians (2 vCPUs):
+#
+#   trials          workers     64     128     256     512
+#   200                1       14.4    12.6    13.3    12.3
+#   200                2       26.3    23.8    23.3    24.0
+#   2,000 (rank 1)     2       20.3    19.2    16.7    13.8
+#   2,000              1      128.8   117.9   106.8   103.7
+#   10,000             1      695.8   588.6   500.4   495.1
+#   10,000             2      494.1   383.4   322.9   356.4
+#
+# At 200 trials 256 and 512 both make one block a rank.  Against 64, 256
+# raised the peak RSS by at most 0.8 MB (and lowered it at 10,000 trials);
+# 512 raised that of the rank-1 pooled sweep by a further 1 MB a process.
+FADING_BLOCK = 256
 
 
 class ChannelKind(enum.Enum):
@@ -230,23 +244,27 @@ def _fading_batch(spec: ExperimentSpec, rank: int, start: int, stop: int):
 def _fading_points(spec: ExperimentSpec, workers: int) -> list:
     """Each rank point's ``_fading_batch`` results, in sweep and trial order.
 
-    One job is one block of at most ``FADING_BLOCK`` trials of one rank.  With
-    one worker the calling process runs them all and builds no pool.
-    Otherwise it runs the first ``len(jobs) // workers`` jobs while one pool
-    of ``workers - 1`` children serves the rest of the whole sweep, in chunks
+    One job is one block of one rank: at most ``FADING_BLOCK`` trials, and at
+    most ``1/workers`` of the sweep's trials, so that a sweep of at least
+    ``workers`` trials has at least ``workers`` jobs.  With one worker the
+    calling process runs them all and builds no pool.  Otherwise it runs the
+    first ``len(jobs) // workers`` jobs while one pool of at most
+    ``workers - 1`` children serves the rest of the whole sweep, in chunks
     that make about 4 round trips per child.
     """
-    starts = range(0, spec.trials, FADING_BLOCK)
-    jobs = [(rank, lo, min(lo + FADING_BLOCK, spec.trials))
+    block = min(FADING_BLOCK, max(1, len(spec.rank_sweep) * spec.trials // workers))
+    starts = range(0, spec.trials, block)
+    jobs = [(rank, lo, min(lo + block, spec.trials))
             for rank in spec.rank_sweep for lo in starts]
     if workers == 1:
         parts = [_fading_batch(spec, *job) for job in jobs]
     else:
         own, rest = jobs[:len(jobs) // workers], jobs[len(jobs) // workers:]
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        children = min(workers - 1, len(rest))
+        with ProcessPoolExecutor(max_workers=children) as pool:
             # submitted before the caller starts its share, consumed after it
             theirs = pool.map(_fading_batch, repeat(spec), *zip(*rest),
-                              chunksize=-(-len(rest) // (4 * (workers - 1))))  # ceil
+                              chunksize=-(-len(rest) // (4 * children)))  # ceil
             parts = [_fading_batch(spec, *job) for job in own] + list(theirs)
     return [parts[k:k + len(starts)] for k in range(0, len(parts), len(starts))]
 
@@ -255,7 +273,8 @@ def run_rank_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     """Run the sweep; returns paired/eigen results per rank, in sweep order.
 
     ``workers`` counts the calling process: it runs its share of the fading
-    trials and forks ``workers - 1`` children once per sweep for the rest.
+    trials and forks at most ``workers - 1`` children once per sweep for the
+    rest.
     Results are identical for any value because every trial owns a substream
     keyed by (seed, rank, trial, attempt).
     """

@@ -80,8 +80,10 @@ class TestLinkBudget:
         assert "exceeds 1" in err
 
 
-# sha256 of each CSV of a 4x4 sweep over ranks 1..4 at seed 7 and 150 trials,
-# which cross two FADING_BLOCK boundaries
+# sha256 of each CSV of a 4x4 sweep over ranks 1..4 at seed 7 and 150 trials.
+# The pooled runs cut a rank's trials into several blocks, and the runs with
+# FADING_BLOCK patched to 7 and 64 cut them across block boundaries: every
+# block size gives the same bytes.
 SWEEP_PINS = {
     "double-rayleigh": {
         "sweep_raw.csv": "397a796fee49533352c9e5216c13792a2320c9d12ddd9866b657d9b0ce9b957a",
@@ -148,10 +150,15 @@ class TestSweep:
             outputs.append([(out_dir / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers, block", [
+        *(pytest.param(w, None, id=f"{w}") for w in (1, 2, 3)),
+        *(pytest.param(w, b, id=f"{w}-block{b}") for b in (7, 64) for w in (1, 2, 3)),
+    ])
     @pytest.mark.parametrize("channel", sorted(SWEEP_PINS))
-    def test_sweep_bytes_pinned(self, capsys, monkeypatch, tmp_path, channel, workers):
+    def test_sweep_bytes_pinned(self, capsys, monkeypatch, tmp_path, channel, workers, block):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "FADING_BLOCK", block)
         argv = ["sweep", "--nt", "4", "--nr", "4", "--ranks", "1..4", "--seed", "7",
                 "--trials", "150", "--channel", channel, "--set", f"workers={workers}",
                 "--out", str(tmp_path)]

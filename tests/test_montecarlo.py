@@ -177,15 +177,16 @@ class TestRankSweep:
     def test_one_worker_builds_no_pool(self, no_pool):
         assert len(run_rank_sweep(small_spec(trials=5), workers=1)) == 6
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_every_job_is_one_block_of_one_rank(self, monkeypatch, workers):
-        maps, jobs = [], []
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Runs the pool's jobs in the caller, after the caller's own share,
+        and records every job, every pool's size and every map's
+        ``(len(jobs), chunksize)``."""
+        record = {"jobs": [], "pools": [], "maps": []}
 
         class SerialPool:
-            """Runs the pool's jobs in the caller; none may exist at one worker."""
-
             def __init__(self, max_workers):
-                assert workers > 1 and max_workers == workers - 1
+                record["pools"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -194,28 +195,64 @@ class TestRankSweep:
                 return False
 
             def map(self, fn, spec, ranks, starts, stops, chunksize=1):
-                maps.append((len(ranks), chunksize))
+                record["maps"].append((len(ranks), chunksize))
                 return map(fn, spec, ranks, starts, stops)
 
         real = montecarlo._fading_batch
 
         def recording(spec, rank, start, stop):
-            jobs.append((rank, start, stop))
+            record["jobs"].append((rank, start, stop))
             return real(spec, rank, start, stop)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo, "_fading_batch", recording)
+        return record
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_job_is_one_block_of_one_rank(self, serial_pool, workers):
         spec = small_spec(trials=2 * FADING_BLOCK + 5)
         run_rank_sweep(spec, workers=workers)
+        jobs = serial_pool["jobs"]
         starts = range(0, spec.trials, FADING_BLOCK)
         assert jobs == [(rank, lo, min(lo + FADING_BLOCK, spec.trials))
                         for rank in spec.rank_sweep for lo in starts]
         if workers == 1:
-            assert maps == []
+            assert serial_pool["pools"] == serial_pool["maps"] == []
         else:
-            ((rest, chunksize),) = maps
+            ((rest, chunksize),) = serial_pool["maps"]
+            assert serial_pool["pools"] == [workers - 1]
             assert rest == len(jobs) - len(jobs) // workers
             assert chunksize == math.ceil(rest / (4 * (workers - 1)))
+
+    @pytest.mark.parametrize("n, ranks, trials, workers, n_jobs, own, maps", [
+        # the benchmark's serial sweep: one block per rank point
+        (8, range(1, 9), 200, 1, 8, 8, []),
+        # its pooled sweep: the caller runs 4 blocks, one child the other 4
+        (8, (1,), 2000, 2, 8, 4, [(4, 1)]),
+        # fewer trials than a block: the caller still runs its half
+        (4, (1,), 200, 2, 2, 1, [(1, 1)]),
+        # as many trials as workers: a block each
+        (4, (1,), 4, 3, 4, 1, [(3, 1)]),
+        # fewer trials than workers: the caller idles, and one child is forked
+        (4, (1,), 1, 3, 1, 0, [(1, 1)]),
+    ], ids=["bench-serial", "bench-pooled", "one-block", "one-trial-each", "idle-caller"])
+    def test_blocks_shrink_to_a_share_of_the_workers(
+        self, serial_pool, n, ranks, trials, workers, n_jobs, own, maps
+    ):
+        spec = small_spec(n_tx=n, n_rx=n, rank_sweep=tuple(ranks), trials=trials)
+        results = run_rank_sweep(spec, workers=workers)
+        jobs = serial_pool["jobs"]
+        assert len(jobs) == n_jobs
+        assert serial_pool["maps"] == maps
+        rest = sum(count for count, _ in maps)
+        assert len(jobs) - rest == own
+        assert serial_pool["pools"] == ([min(workers - 1, rest)] if maps else [])
+        # every rank's trials run once, in order, in contiguous blocks
+        per_rank = [[job for job in jobs if job[0] == rank] for rank in spec.rank_sweep]
+        for rank_jobs in per_rank:
+            assert [lo for _, lo, _ in rank_jobs] == [0, *(hi for _, _, hi in rank_jobs[:-1])]
+            assert rank_jobs[-1][2] == trials
+        assert [r.trials_used for r in results] == [trials] * 2 * len(spec.rank_sweep)
 
     @pytest.mark.parametrize("reference_rtt", [1e-5, 0.04])
     def test_trial_ranges_and_blocks_do_not_change_results(self, reference_rtt):

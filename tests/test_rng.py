@@ -6,13 +6,14 @@ spawn_key=path))``.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from qbclink import rng
 from qbclink.channel import FadingSpec, sample_double_rayleigh
-from qbclink.montecarlo import ChannelKind, ExperimentSpec, run_rank_sweep
+from qbclink.montecarlo import FADING_BLOCK, ChannelKind, ExperimentSpec, run_rank_sweep
 from qbclink.qi import QiParams
 from qbclink.rng import _state_words, standard_normals, substream
 
@@ -214,7 +215,8 @@ def test_state_view_round_trips_the_public_state():
 
 
 def test_generator_is_built_once_per_process():
-    # an 8-rank sweep seeds 8 x 3 blocks from the one cached generator
+    # an 8-rank sweep seeds 8 x ceil(150 / FADING_BLOCK) blocks from the one
+    # cached generator
     rng._generator.cache_clear()
     spec = ExperimentSpec(
         n_tx=8, n_rx=8, rank_sweep=tuple(range(1, 9)), reference_rtt=1e-5,
@@ -224,4 +226,4 @@ def test_generator_is_built_once_per_process():
     run_rank_sweep(spec)
     standard_normals(9, [(1,), (2**40,)], 3)  # a block and a fallback row
     info = rng._generator.cache_info()
-    assert (info.misses, info.hits) == (1, 8 * 3)
+    assert (info.misses, info.hits) == (1, 8 * math.ceil(150 / FADING_BLOCK))
