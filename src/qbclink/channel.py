@@ -446,9 +446,16 @@ def _fading_draws(spec: FadingSpec, keys: np.ndarray) -> np.ndarray:
     normals = standard_normals(spec.seed, keys, 2 * n_in + 2 * spec.n_rx * spec.n_tag)
     t = normals[:, : 2 * n_in].reshape(-1, 2, spec.n_tag, spec.n_tx)
     r = normals[:, 2 * n_in :].reshape(-1, 2, spec.n_rx, spec.n_tag)
-    h_t = scale * (t[:, 0] + 1j * t[:, 1])
-    h_r = scale * (r[:, 0] + 1j * r[:, 1])
-    return h_r @ h_t
+    return _scaled_hop(r, scale) @ _scaled_hop(t, scale)
+
+
+def _scaled_hop(parts: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * (parts[:, 0] + 1j * parts[:, 1])``, bit for bit, written
+    straight into one complex array."""
+    hop = np.empty(parts[:, 0].shape, dtype=complex)
+    np.multiply(parts[:, 0], scale, out=hop.real)
+    np.multiply(parts[:, 1], scale, out=hop.imag)
+    return hop
 
 
 def sample_double_rayleigh(spec: FadingSpec, draws):

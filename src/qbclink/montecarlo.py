@@ -246,25 +246,33 @@ def _fading_points(spec: ExperimentSpec, workers: int) -> list:
 
     One job is one block of one rank: at most ``FADING_BLOCK`` trials, and at
     most ``1/workers`` of the sweep's trials, so that a sweep of at least
-    ``workers`` trials has at least ``workers`` jobs.  With one worker the
-    calling process runs them all and builds no pool.  Otherwise it runs the
-    first ``len(jobs) // workers`` jobs while one pool of at most
-    ``workers - 1`` children serves the rest of the whole sweep, in chunks
-    that make about 4 round trips per child.
+    ``workers`` trials has at least ``workers`` jobs.  With one worker, or
+    fewer jobs than workers (fewer trials than workers), the calling process
+    runs them all and builds no pool.  Otherwise it runs the first
+    ``len(jobs) // workers`` jobs while one pool of ``workers - 1`` children
+    serves the rest of the whole sweep, each child its share as one chunk: one
+    exchange per child, since every further chunk is fed and its result read
+    by the executor's manager thread, which competes with the caller's share
+    for the interpreter lock.  A chunk holds no more blocks than one rank
+    point has, since a child holds a chunk's results, and their pickle, at
+    once: a share of several rank points goes in several chunks.  The
+    ``with`` block still joins the children: an early ``shutdown(wait=False)``
+    would let the sweep return with a child alive.
     """
     block = min(FADING_BLOCK, max(1, len(spec.rank_sweep) * spec.trials // workers))
     starts = range(0, spec.trials, block)
     jobs = [(rank, lo, min(lo + block, spec.trials))
             for rank in spec.rank_sweep for lo in starts]
-    if workers == 1:
+    cut = len(jobs) // workers
+    if cut in (0, len(jobs)):  # fewer jobs than workers, or one worker
         parts = [_fading_batch(spec, *job) for job in jobs]
     else:
-        own, rest = jobs[:len(jobs) // workers], jobs[len(jobs) // workers:]
-        children = min(workers - 1, len(rest))
+        own, rest = jobs[:cut], jobs[cut:]
+        children = workers - 1  # no more than len(rest), as len(jobs) >= workers
         with ProcessPoolExecutor(max_workers=children) as pool:
             # submitted before the caller starts its share, consumed after it
             theirs = pool.map(_fading_batch, repeat(spec), *zip(*rest),
-                              chunksize=-(-len(rest) // (4 * children)))  # ceil
+                              chunksize=min(-(-len(rest) // children), len(starts)))
             parts = [_fading_batch(spec, *job) for job in own] + list(theirs)
     return [parts[k:k + len(starts)] for k in range(0, len(parts), len(starts))]
 

@@ -15,7 +15,7 @@ HMC-CS-2014-0905).  The block seeder takes the seed's part of the pool from
 numpy (``SeedSequence(seed).pool``), mixes in every path's words as
 ``uint32`` array operations and runs the LCG steps on ``uint64`` limbs
 (:func:`_pcg_states`).  It then writes each path's ``(state, inc)`` straight
-into the state struct of the process's one ``PCG64`` through numpy views, and
+into the state struct of the process's one ``PCG64`` through byte views, and
 clears the struct's buffered 32-bit half (:func:`_generator`, built at the
 first draw, probes the struct's limb order).  ``SeedSequence`` hashes the
 32-bit words of the seed, then of each path value, so one seeder takes every
@@ -133,12 +133,12 @@ def _pcg_states(words: np.ndarray, limbs: tuple) -> np.ndarray:
 @functools.cache
 def _generator():
     """``(generator, lcg, buffer, limbs)``: the process's one ``PCG64``
-    generator, a uint64 view of its ``(state, inc)`` struct, a uint64 view of
-    its ``has_uint32``/``uinteger`` buffer, and where the view holds each limb
-    (:func:`_pcg_states`).
+    generator, a byte view of its ``(state, inc)`` struct, a byte view of its
+    ``has_uint32``/``uinteger`` buffer, and where the struct holds each
+    uint64 limb (:func:`_pcg_states`).
 
     The limb order is probed, not assumed: a state of distinct limbs set
-    through the public setter is looked up in the view.  A compiler's
+    through the public setter is looked up in the struct.  A compiler's
     little-endian ``__uint128_t`` holds low, high; numpy's emulated one high,
     low.
     """
@@ -147,15 +147,15 @@ def _generator():
     bitgen = np.random.PCG64(0)
     address = bitgen.ctypes.state_address
     pointer = ctypes.c_void_p.from_address(address).value
-    lcg = np.frombuffer((ctypes.c_uint64 * 4).from_address(pointer), np.uint64)
+    lcg = memoryview((ctypes.c_uint64 * 4).from_address(pointer)).cast("B")
     after_pointer = address + ctypes.sizeof(ctypes.c_void_p)
-    buffer = np.frombuffer((ctypes.c_uint64 * 1).from_address(after_pointer), np.uint64)
+    buffer = memoryview((ctypes.c_uint64 * 1).from_address(after_pointer)).cast("B")
     probe = [0x0123456789ABCDEF, 0x1122334455667788, 0x0FEDCBA987654321, 0x8877665544332211]
     bitgen.state = {
         "bit_generator": "PCG64", "has_uint32": 1, "uinteger": 0x9E3779B9,
         "state": {"state": probe[1] << 64 | probe[0], "inc": probe[3] << 64 | probe[2]},
     }
-    found, buffered = lcg.tolist(), buffer.view(np.uint32).tolist()
+    found, buffered = lcg.cast("Q").tolist(), buffer.cast("I").tolist()
     for limbs in ((0, 1, 2, 3), (1, 0, 3, 2)):
         if [found[j] for j in limbs] == probe and buffered == [1, 0x9E3779B9]:
             return np.random.Generator(bitgen), lcg, buffer, limbs
@@ -200,9 +200,11 @@ def row_generators(seed: int, paths):
         blocks = [(range(len(words)), words.astype(np.uint32))]
     gen, lcg, buffer, limbs = _generator()
     for rows, block in blocks:
-        for i, row in zip(rows, _pcg_states(_state_words(seed, block), limbs)):
-            lcg[:] = row
-            buffer[0] = 0  # no 32-bit half left over from the previous row
+        # bytes, not a cast memoryview: a cast rejects an empty block
+        states = _pcg_states(_state_words(seed, block), limbs).tobytes()
+        for i, k in zip(rows, range(0, len(states), 32)):
+            lcg[:] = states[k : k + 32]
+            buffer[:] = b"\0" * 8  # no 32-bit half left over from the previous row
             yield i, gen
 
 

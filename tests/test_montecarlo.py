@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,12 @@ class TestRankSweep:
             assert x.sample_text == y.sample_text
             assert x.rejected_samples == y.rejected_samples
 
+    def test_pooled_sweep_joins_its_children(self):
+        # the pool's exit joins every child; an early shutdown(wait=False)
+        # would return with a child still alive
+        run_rank_sweep(small_spec(trials=40), workers=2)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected_before_any_pool(self, no_pool, workers):
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
@@ -180,9 +187,9 @@ class TestRankSweep:
     @pytest.fixture
     def serial_pool(self, monkeypatch):
         """Runs the pool's jobs in the caller, after the caller's own share,
-        and records every job, every pool's size and every map's
-        ``(len(jobs), chunksize)``."""
-        record = {"jobs": [], "pools": [], "maps": []}
+        and records every job, every pool's size, every map's
+        ``(len(jobs), chunksize)`` and every shutdown's ``wait``."""
+        record = {"jobs": [], "pools": [], "maps": [], "shutdowns": []}
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -192,7 +199,11 @@ class TestRankSweep:
                 return self
 
             def __exit__(self, *exc):
+                self.shutdown(wait=True)  # as the executor's own exit does
                 return False
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                record["shutdowns"].append(wait)
 
             def map(self, fn, spec, ranks, starts, stops, chunksize=1):
                 record["maps"].append((len(ranks), chunksize))
@@ -217,25 +228,31 @@ class TestRankSweep:
         assert jobs == [(rank, lo, min(lo + FADING_BLOCK, spec.trials))
                         for rank in spec.rank_sweep for lo in starts]
         if workers == 1:
-            assert serial_pool["pools"] == serial_pool["maps"] == []
+            assert serial_pool["pools"] == serial_pool["maps"] == serial_pool["shutdowns"] == []
         else:
             ((rest, chunksize),) = serial_pool["maps"]
             assert serial_pool["pools"] == [workers - 1]
             assert rest == len(jobs) - len(jobs) // workers
-            assert chunksize == math.ceil(rest / (4 * (workers - 1)))
+            # one chunk, so one exchange, per child, of no more blocks than a
+            # rank point has (3): at workers=2 the one child's 5 blocks take 2
+            assert (rest, chunksize) == {2: (5, 3), 3: (6, 3)}[workers]
+            assert serial_pool["shutdowns"] == [True]
 
     @pytest.mark.parametrize("n, ranks, trials, workers, n_jobs, own, maps", [
         # the benchmark's serial sweep: one block per rank point
         (8, range(1, 9), 200, 1, 8, 8, []),
-        # its pooled sweep: the caller runs 4 blocks, one child the other 4
-        (8, (1,), 2000, 2, 8, 4, [(4, 1)]),
+        # its pooled sweep: the caller runs 4 blocks, one child the other 4 in
+        # one exchange
+        (8, (1,), 2000, 2, 8, 4, [(4, 4)]),
         # fewer trials than a block: the caller still runs its half
         (4, (1,), 200, 2, 2, 1, [(1, 1)]),
-        # as many trials as workers: a block each
-        (4, (1,), 4, 3, 4, 1, [(3, 1)]),
-        # fewer trials than workers: the caller idles, and one child is forked
-        (4, (1,), 1, 3, 1, 0, [(1, 1)]),
-    ], ids=["bench-serial", "bench-pooled", "one-block", "one-trial-each", "idle-caller"])
+        # as many trials as workers: a block for the caller, two for each child
+        (4, (1,), 4, 3, 4, 1, [(3, 2)]),
+        # fewer trials than workers: the caller runs them all, and forks nothing
+        (4, (1,), 1, 3, 1, 1, []),
+        (4, (1,), 2, 3, 2, 2, []),
+    ], ids=["bench-serial", "bench-pooled", "one-block", "one-trial-each", "idle-caller",
+            "two-trials-three-workers"])
     def test_blocks_shrink_to_a_share_of_the_workers(
         self, serial_pool, n, ranks, trials, workers, n_jobs, own, maps
     ):
@@ -246,7 +263,8 @@ class TestRankSweep:
         assert serial_pool["maps"] == maps
         rest = sum(count for count, _ in maps)
         assert len(jobs) - rest == own
-        assert serial_pool["pools"] == ([min(workers - 1, rest)] if maps else [])
+        assert serial_pool["pools"] == ([workers - 1] if maps else [])
+        assert serial_pool["shutdowns"] == ([True] if maps else [])
         # every rank's trials run once, in order, in contiguous blocks
         per_rank = [[job for job in jobs if job[0] == rank] for rank in spec.rank_sweep]
         for rank_jobs in per_rank:

@@ -115,6 +115,8 @@ def test_numpy_integer_words_equal_substream(dtype):
 
 def test_no_paths_give_no_rows():
     assert standard_normals(7, [], 5).shape == (0, 5)
+    # an empty block of rows takes the block seeder
+    assert standard_normals(7, np.empty((0, 2), dtype=np.int64), 5).shape == (0, 5)
 
 
 @pytest.mark.parametrize(
@@ -204,11 +206,14 @@ def test_state_view_round_trips_the_public_state():
         state, inc = given[1] << 64 | given[0], given[3] << 64 | given[2]
         bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 1, "uinteger": given[0] & 0xFFFFFFFF}
-        assert [lcg[j] for j in limbs] == given
-        assert buffer.view(np.uint32).tolist() == [1, given[0] & 0xFFFFFFFF]
-        # written through the view, read through the public getter
-        lcg[list(limbs)] = written
-        buffer[0] = 0
+        assert [lcg.cast("Q")[j] for j in limbs] == given
+        assert buffer.cast("I").tolist() == [1, given[0] & 0xFFFFFFFF]
+        # written through the view as the seeder writes it, read through the
+        # public getter
+        row = np.empty(4, dtype=np.uint64)
+        row[list(limbs)] = written
+        lcg[:] = row.tobytes()
+        buffer[:] = bytes(8)
         state, inc = written[1] << 64 | written[0], written[3] << 64 | written[2]
         assert bitgen.state == {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                 "state": {"state": state, "inc": inc}}
