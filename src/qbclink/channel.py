@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateLinkError, NonPhysicalChannelError, NonPhysicalLinkError
-from .rng import standard_normals
+from .rng import path_words, standard_normals
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -476,7 +476,8 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
     spec : FadingSpec
     draws : int, or sequence of int or of index paths of one length
         Index of one draw, or the index (or index path) of each draw, within
-        the seeded ensemble; a ``(B, k)`` integer array is ``B`` paths.
+        the seeded ensemble, each in [0, 2**32); a ``(B, k)`` integer array,
+        k < ``rng.MAX_PATH_WORDS``, is ``B`` paths.
 
     Returns
     -------
@@ -491,16 +492,12 @@ def sample_double_rayleigh(spec: FadingSpec, draws):
         When a draw is non-physical ``MAX_RESAMPLES`` times in a row.
     ValueError
         If a draw is non-finite or fails a check of :func:`decompose_channel`,
-        or if the index paths differ in length.
+        or if the index paths differ in length or leave their range.
     """
     one = np.isscalar(draws)
-    draws = [draws] if one else draws
-    paths = np.array(draws)  # paths of different lengths raise here
-    if paths.dtype.kind not in "iu":  # numpy reads a value past int64 as a float or object
-        paths = np.array(draws, dtype=object)
-    paths = paths[:, None] if paths.ndim == 1 else paths  # one index per draw
+    paths = path_words([draws] if one else draws)  # paths of different lengths raise here
     # one row per draw: its index path, then a word for the attempt
-    keys = np.zeros((len(paths), paths.shape[1] + 1), dtype=paths.dtype)
+    keys = np.zeros((len(paths), paths.shape[1] + 1), dtype=np.uint32)
     keys[:, :-1] = paths
     rejections = np.zeros(len(keys), dtype=int)
     pending = np.arange(len(keys))

@@ -204,7 +204,7 @@ KEYS = {key.name: key for key in (
         "--channel"),
     Key("nb", _count),
     Key("spacing", _number(float, -sys.float_info.max, sys.float_info.max, "be finite")),
-    Key("draw", _number(int, 0)),
+    Key("draw", _number(int, 0, 2**32 - 1, "lie in [0, 2**32 - 1]")),
     Key("modes", _real),
     Key("paths", _path_list("channel.PropagationPath", ("eta", "phase", "omega_r", "omega_t"))),
     Key("tx_paths", _path_list("channel.ClutterPath", _CLUTTER_FIELDS)),
@@ -215,7 +215,7 @@ KEYS = {key.name: key for key in (
     Key("m_max", _real),
     Key("m_points", _int),
     Key("ranks", _parse_ranks, "'a..b' or comma list", "--ranks"),
-    Key("trials", _count, flag="--trials"),
+    Key("trials", _number(int, 1, 2**32, "lie in [1, 2**32]"), flag="--trials"),
     Key("channel", _choice("montecarlo.ChannelKind", "channel kind"),
         "deterministic or double-rayleigh", "--channel"),
     Key("workers", _int),

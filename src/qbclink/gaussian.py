@@ -284,7 +284,7 @@ def run_oracle_checks(cm: ChannelMatrix, params: QiParams) -> dict:
         part = np.flatnonzero(stack.rank == r)
         out = propagate(*emimo_setup(stack[part], params), n_thermal)
         eta = stack.port_eta[part]
-        c_exp = np.full((len(part), n_rx + r), n_signal)
+        c_exp = np.full((len(part), n_rx + r), n_signal, dtype=float)
         c_exp[:, :n_rx] = (
             eta * np.where(np.arange(n_rx) < r, n_signal, 0.0) + (1.0 - eta) * n_thermal
         )

@@ -17,16 +17,15 @@ numpy (``SeedSequence(seed).pool``), mixes in every path's words as
 (:func:`_pcg_states`).  It then writes each path's ``(state, inc)`` straight
 into the state struct of the process's one ``PCG64`` through byte views, and
 clears the struct's buffered 32-bit half (:func:`_generator`, built at the
-first draw, probes the struct's limb order).  ``SeedSequence`` hashes the
-32-bit words of the seed, then of each path value, so one seeder takes every
-seed and every path: a block of ``int64`` words below 2**32 as it stands, any
-other split row by row.
+first draw, probes the struct's limb order).  It takes only what the program
+draws: a seed in [0, 2**64) and path words in [0, 2**32) (:func:`path_words`).
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 
 import numpy as np
 
@@ -51,51 +50,33 @@ def _powers(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
+MAX_PATH_WORDS = 16  # a row's most path words
 # The hash multiplier runs through init * mult**i, whatever the data, so
-# every step's constants are known ahead: hashmix step i XORs with _HASH_A[i]
-# and multiplies by _HASH_A[i + 1].  A spawned pool takes 4 steps for the
-# padded seed words, 12 to mix the pool, and 4 per later word (the seed's past
-# the fourth, then the path's); the table holds up to 16 later words, and more
-# compute their own.
-_HASH_A = _powers(_INIT_A, _MULT_A, 17 + 4 * 16)
+# every step's constants are known ahead: hashmix step i XORs with
+# init * mult**i and multiplies by init * mult**(i + 1).  A spawned pool takes
+# 4 steps for the seed's words (a seed below 2**64 is padded to 4), 12 to mix
+# the pool, and 4 per path word from step 16 on.
+_HASH_A = _powers(_INIT_A, _MULT_A, 16 + 4 * MAX_PATH_WORDS + 1)
+_PATH_XOR, _PATH_MULT = _HASH_A[16:-1], _HASH_A[17:]
 # generate_state(4, uint64): 8 words, cycling through the 4 pool words
 _STATE_B = _powers(_INIT_B, _MULT_B, 9)
 _STATE_POOL = np.arange(8) % 4
 
 
-def _hashmix(value: np.ndarray, step: int, count: int) -> np.ndarray:
-    """``value`` hashed at steps ``step .. step + count - 1`` along the last axis."""
-    stop = step + count + 1
-    hash_a = _HASH_A if stop <= len(_HASH_A) else _powers(_INIT_A, _MULT_A, stop)
-    value = (value ^ hash_a[step : stop - 1]) * hash_a[step + 1 : stop]
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _words(value: int) -> list:
-    """The little-endian 32-bit words ``SeedSequence`` splits ``value`` into."""
-    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
 def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=row).generate_state(4, uint64)`` for each
-    row of the ``(B, k)`` uint32 array ``words``."""
+    row of the ``(B, k)`` uint32 array ``words``, for a seed below 2**64."""
     k = words.shape[1]
+    # every word's 4 hash steps at once: word j takes path steps 4j .. 4j + 3
+    hashed = (np.repeat(words, 4, axis=1) ^ _PATH_XOR[: 4 * k]) * _PATH_MULT[: 4 * k]
+    hashed = (hashed ^ hashed >> _XSHIFT).reshape(len(words), k, 4)
     # SeedSequence(seed).pool is the spawned pool before its path: numpy pads
     # a short seed with hashes of 0, as a spawned sequence pads it with zero
-    # words, and hashes a seed's words past the fourth like leading path
-    # words, 4 steps each after the padded pool's 16
-    step = 4 * max(len(_words(seed)), 4)
-    # every word's 4 hash steps at once: word j takes steps step + 4j .. step + 4j + 3
-    hashed = _hashmix(np.repeat(words, 4, axis=1), step, 4 * k).reshape(len(words), k, 4)
-    # each path word then mixes into all four pool words of every row
+    # words; each path word then mixes into all four pool words of every row
     pool = np.broadcast_to(np.random.SeedSequence(seed).pool, (len(words), 4))
     for j in range(k):
-        pool = _mix(pool, hashed[:, j])
+        pool = _MIX_MULT_L * pool - _MIX_MULT_R * hashed[:, j]
+        pool ^= pool >> _XSHIFT
     state = pool[:, _STATE_POOL] ^ _STATE_B[:8]
     state *= _STATE_B[1:]
     state ^= state >> _XSHIFT
@@ -184,36 +165,36 @@ def row_generators(seed: int, paths):
 
     Every row of every call shares the process's one generator, so take a
     row's draws before the next row of any ``row_generators`` iterator is
-    requested.  Paths may be ragged and their values as large as Python
-    integers go; a negative seed or path value raises ``ValueError``.
+    requested.  ``seed`` must be an integer in [0, 2**64) and ``paths`` as
+    :func:`path_words` says; anything else raises ``ValueError``.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    try:
-        words = np.asarray(paths, dtype=np.int64)
-    except (OverflowError, ValueError):  # a value of 2**63 or more, or ragged paths
-        words = None
-    if words is None or words.ndim != 2 or (words >> 32).any():
-        blocks = (([i], _split_row(path)) for i, path in enumerate(paths))
-    else:  # every word is one uint32 already
-        blocks = [(range(len(words)), words.astype(np.uint32))]
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be a non-negative integer below 2**64, got {seed}")
     gen, lcg, buffer, limbs = _generator()
-    for rows, block in blocks:
-        # bytes, not a cast memoryview: a cast rejects an empty block
-        states = _pcg_states(_state_words(seed, block), limbs).tobytes()
-        for i, k in zip(rows, range(0, len(states), 32)):
-            lcg[:] = states[k : k + 32]
-            buffer[:] = b"\0" * 8  # no 32-bit half left over from the previous row
-            yield i, gen
+    # bytes, not a cast memoryview: a cast rejects an empty block
+    states = _pcg_states(_state_words(int(seed), path_words(paths)), limbs).tobytes()
+    for i, k in enumerate(range(0, len(states), 32)):
+        lcg[:] = states[k : k + 32]
+        buffer[:] = b"\0" * 8  # no 32-bit half left over from the previous row
+        yield i, gen
 
 
-def _split_row(path) -> np.ndarray:
-    """The ``(1, k)`` uint32 words of ``path``."""
-    key = tuple(int(v) for v in path)
-    if min(key, default=0) < 0:
-        raise ValueError(f"stream path must be non-negative, got {key}")
-    return np.array([[w for v in key for w in _words(v)]], dtype=np.uint32)
+def path_words(paths) -> np.ndarray:
+    """The ``(B, k)`` uint32 words of ``paths``: a rectangular integer block of
+    at most ``MAX_PATH_WORDS`` words a row, or a sequence of one-word paths,
+    each word in [0, 2**32); ``ValueError`` naming what is not (numpy's own
+    for ragged paths)."""
+    block = np.asarray(paths)
+    rows = block[:, None] if block.ndim == 1 else block
+    if rows.ndim != 2 or rows.shape[1] > MAX_PATH_WORDS:
+        raise ValueError(f"stream paths must be (B, k <= {MAX_PATH_WORDS}), got {block.shape}")
+    if block.size and (block.dtype.kind not in "iu" or block.min() < 0 or block.max() > _MASK32):
+        # named from paths: numpy reads an int past int64 as a float
+        words = paths if block.ndim == 1 else (w for row in paths for w in row)
+        bad = next((w for w in words
+                    if not (isinstance(w, numbers.Integral) and 0 <= w <= _MASK32)), block.dtype)
+        raise ValueError(f"stream path words must be non-negative integers below 2**32, got {bad}")
+    return rows.astype(np.uint32)
 
 
 def standard_normals(seed: int, paths, size: int) -> np.ndarray:

@@ -541,7 +541,7 @@ class TestDoubleRayleigh:
     )
     def test_one_draw_equals_its_stack_of_one(self, spec):
         total = 0
-        for draw in [*range(12), 2**32]:
+        for draw in [*range(12), 2**32 - 1]:
             cm, rej = sample_double_rayleigh(spec, draw)
             stack, rejections = sample_double_rayleigh(spec, [draw])
             assert type(rej) is int and rej == rejections[0]
@@ -552,8 +552,8 @@ class TestDoubleRayleigh:
         assert (total > 0) == (spec.reference_rtt == 0.04)
 
     @pytest.mark.parametrize("paths", [
-        [(8, 3), (2**63, 1), (2**64 - 1, 0), (2**70, 2)],
-        np.array([(8, 3), (2**63, 1), (2**64 - 1, 0), (5, 2**33)], dtype=np.uint64),
+        [(8, 3), (2**32 - 1, 1), (0, 0), (7, 2**32 - 1)],
+        np.array([(8, 3), (2**32 - 1, 1), (0, 0), (5, 2**32 - 1)], dtype=np.uint64),
         np.array([(8, 3), (8, 4), (0, 2**31 - 1)], dtype=np.int32),
     ], ids=["python-ints", "uint64", "int32"])
     def test_index_path_dtypes_match_the_reference(self, paths):
@@ -563,6 +563,17 @@ class TestDoubleRayleigh:
             h, attempts = _reference_draw(spec, tuple(int(w) for w in path))
             assert rejections[i] == attempts
             assert np.array_equal(stack[i].matrix, h)
+
+    @pytest.mark.parametrize("draws, bad", [
+        (2**32, 2**32),
+        ([(8, 3), (2**63, 1)], 2**63),
+        ([(8, 3), (2**70, 2)], 2**70),
+        (np.array([(8, 3), (5, 2**33)], dtype=np.uint64), 2**33),
+        ([1.5], 1.5),
+    ], ids=["2^32", "2^63", "2^70", "uint64-2^33", "float"])
+    def test_index_past_one_word_rejected(self, draws, bad):
+        with pytest.raises(ValueError, match=rf"below 2\*\*32, got {bad}$"):
+            sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, seed=3), draws)
 
     def test_index_paths_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="inhomogeneous"):

@@ -687,13 +687,23 @@ def test_largest_seed_accepted(capsys, command):
 
 
 CLUTTER = ["channel", "--config", "clutter.cfg"]  # CHANNEL_PINS' clutter config
-# a draw, trial count or array size out of its range, the key named, and the
-# command's first work (oracle counts: TestOracleCommand)
+# a draw, trial count or array size out of its range (the last value in the
+# arguments), the key named, and the command's first work; a draw, and every
+# trial index, is one path word of the seeder (oracle counts below one:
+# TestOracleCommand)
 BOUNDED_COUNTS = {
     "channel-draw": (FADING_CHANNEL + ["--seed", "3", "--set", "draw=-1"], "draw",
                      "qbclink.channel.sample_double_rayleigh"),
+    "channel-draw-2^32": (FADING_CHANNEL + ["--seed", "3", "--set", f"draw={2**32}"], "draw",
+                          "qbclink.channel.sample_double_rayleigh"),
     "sweep-fading-trials": (["sweep", "--trials", "0"], "trials",
                             "qbclink.montecarlo.run_rank_sweep"),
+    "sweep-trials-2^32+1": (["sweep", "--trials", str(2**32 + 1)], "trials",
+                            "qbclink.montecarlo.run_rank_sweep"),
+    "oracle-trials-2^32+1": (["oracle", "--trials", str(2**32 + 1)], "trials",
+                             "qbclink.gaussian.run_oracle"),
+    "oracle-trials-10^12": (["oracle", "--trials", str(10**12)], "trials",
+                            "qbclink.gaussian.run_oracle"),
     "sweep-deterministic-trials": (["sweep", "--channel", "deterministic", "--trials", "-2"],
                                    "trials", "qbclink.montecarlo.run_rank_sweep"),
     "clutter-nt": (CLUTTER + ["--nt", "0"], "nt", "qbclink.channel.build_clutter_channel"),
@@ -721,7 +731,9 @@ def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, tmp_pa
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert f"key '{name}' must be at least" in err
+    given = argv[-1].split("=")[-1]
+    assert re.fullmatch(rf"error: key '{name}' must (be at least 1|lie in \[.*\]), got {given}\n",
+                        err), err
 
 
 FADING_4X4 = ["channel", "--channel", "fading", "--nt", "4", "--nr", "4"]
@@ -922,26 +934,13 @@ def test_files_written_in_chunks_of_4096_lines(monkeypatch, tmp_path, count, chu
     assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-# the channel of a draw of 2**32 or more, whose path the seeder splits into
-# more 32-bit words; one of 2**63 or more does not fit int64 either
-WIDE_DRAW_PINS = {
-    2**32: ("spectral_norm,0.0079466638658196344\n"
-            "eta_k,6.3149466596323456e-05 3.0215321052045569e-05 "
-            "1.907253856736309e-36 2.978135344977133e-38\n"),
-    2**63: ("spectral_norm,0.0081759855603281452\n"
-            "eta_k,6.684673988269434e-05 7.1793171440331761e-06 "
-            "1.5638575857582235e-36 8.2382423722569553e-39\n"),
-    2**70: ("spectral_norm,0.0077704435629583502\n"
-            "eta_k,6.0379793165120862e-05 2.0948547536314553e-05 "
-            "2.7401028900724375e-37 2.7108483050340463e-38\n"),
-}
-
-
-def test_draw_past_the_block_seeder_accepted(capsys):
-    for draw, pinned in WIDE_DRAW_PINS.items():
-        code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={draw}"])
-        assert code == 0
-        assert out == "shape,4,4\nrank,2\n" + pinned, draw
+def test_largest_draw_accepted(capsys):
+    # the draw below 2**32, the top of the key's range
+    code, out, _ = run(capsys, FADING_CHANNEL + ["--seed", "3", "--set", f"draw={2**32 - 1}"])
+    assert code == 0
+    assert out == ("shape,4,4\nrank,2\nspectral_norm,0.0099774528793099438\n"
+                   "eta_k,9.9549565958850292e-05 4.7892842463179244e-06 "
+                   "1.8841822304656561e-37 9.4768811620486406e-38\n")
 
 
 # every command's named flags in parser order: the flag, its metavar, its help

@@ -263,6 +263,18 @@ def test_oracle_at_the_edges_of_its_photon_range_gives_no_numpy_warning():
     assert np.isfinite(list(run_oracle(smallest, 40, 1).worst.values())).all()
 
 
+@pytest.mark.parametrize("n_signal", [1, 2])
+def test_integer_signal_photons_give_the_float_report(n_signal):
+    # n_signal >= 1 leaves the quantum-illumination operating point, by design
+    with pytest.warns(UserWarning, match="operating point"):
+        integer = QiParams(n_signal, 100.0, 1e9)
+    with pytest.warns(UserWarning, match="operating point"):
+        real = QiParams(float(n_signal), 100.0, 1e9)
+    report = run_oracle(integer, 40, 3)
+    assert report == run_oracle(real, 40, 3)
+    assert report.ok
+
+
 def test_oracle_worst_trial_reproduces_from_its_seed():
     seed, trials = 9, 60
 
@@ -519,9 +531,8 @@ def substream_draw(seed, trial, max_n):
 @pytest.mark.parametrize(
     "seed, trials",
     [(0, range(40)), (2**64 - 1, range(5, 45)),
-     (7, range(2**32 - 2, 2**32 + 2)),  # the last two trials' paths are two words
-     (2**64, range(3))],  # a seed of 2**64 is three words
-    ids=["seed-0", "seed-2^64-1", "trial-2^32", "seed-2^64"],
+     (7, range(2**32 - 4, 2**32))],  # the last trials of a run of 2**32
+    ids=["seed-0", "seed-2^64-1", "trial-2^32"],
 )
 @pytest.mark.parametrize("max_n", [1, 8, 64])
 def test_block_seeded_draws_equal_substream_draws(seed, trials, max_n):
@@ -544,6 +555,15 @@ def test_in_range_run_builds_no_substream(monkeypatch):
     monkeypatch.setattr(rng, "substream", counting)
     run_oracle(PARAMS, 100, 2**64 - 1)
     assert calls == []
-    # nor does a trial of 2**32 or more
-    oracle_channel(7, 2**32)
-    assert calls == []
+
+
+@pytest.mark.parametrize("seed, trial, bad", [(7, 2**32, 2**32), (2**64, 0, 2**64)],
+                         ids=["trial-2^32", "seed-2^64"])
+@pytest.mark.parametrize("max_n", [1, 8, 64])
+def test_draws_past_one_word_rejected(seed, trial, bad, max_n):
+    # a trial index of 2**32 is past one path word, and a seed of 2**64 past
+    # the seed range; no oracle command draws either, at any block size
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        oracle_channel(seed, trial)
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        gaussian._oracle_draws(seed, range(trial, trial + 2), max_n)

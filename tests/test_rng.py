@@ -7,6 +7,7 @@ spawn_key=path))``.
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qbclink.montecarlo import FADING_BLOCK, ChannelKind, ExperimentSpec, run_ra
 from qbclink.qi import QiParams
 from qbclink.rng import _state_words, standard_normals, substream
 
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**200)
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
 
 def _random_seeds(gen, count):
@@ -44,14 +45,10 @@ def test_state_words_match_seed_sequence(k):
             assert np.array_equal(row, expected), (seed, path)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_normals_match_substream(k, monkeypatch):
-    # rectangular paths of words below 2**32 are seeded as one block at every
-    # seed, however wide: no row is split
-    def no_split(path):
-        raise AssertionError(f"row {path} split")
-
-    monkeypatch.setattr(rng, "_split_row", no_split)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, rng.MAX_PATH_WORDS])
+def test_normals_match_substream(k):
+    # rectangular paths of words below 2**32, up to the widest row the hash
+    # table holds, at every seed below 2**64
     gen = np.random.default_rng(200 + k)
     for seed in _random_seeds(gen, 2):
         paths = _random_paths(gen, k, count=6)
@@ -61,32 +58,40 @@ def test_normals_match_substream(k, monkeypatch):
         assert np.array_equal(got, expected), seed
 
 
-@pytest.mark.parametrize(
-    "seed, paths",
-    [
-        (7, [(1, 2**32, 0), (1, 2, 0), (2**40, 0, 1)]),  # a word of 2**32 or more
-        (2**64, [(1, 2, 0), (3, 4, 5)]),  # a seed of 2**64
-        (2**70, [(1,)]),
-        (7, [tuple(range(17)), tuple(range(1, 18))]),  # longer than the hash table
-        (7, [(1,), (2, 3), (4, 5, 6)]),  # ragged
-        (7, [()]),  # no path words
-        (7, [(2**600, 1, 0), (3, 4, 5)]),  # 19 words in one value, 21 in the path
-        (2**200, [(1, 2, 0), (3,), ()]),  # a seed of 7 words, ragged paths
-        (7, [(1, 2, 0), (5, 2**33 - 1, 0), (2**32 - 1, 3, 0)]),  # one 33-bit word
-    ],
-    ids=["word-2^32", "seed-2^64", "seed-2^70", "17-words", "ragged", "empty-path",
-         "word-2^600", "seed-2^200", "33-bit-word-among-32-bit-rows"],
-)
-def test_fallback_equals_substream(seed, paths):
-    got = standard_normals(seed, paths, 33)
-    for row, path in zip(got, paths):
-        assert np.array_equal(row, substream(seed, *path).standard_normal(33))
+# inputs no sweep, oracle or channel draws: each names its offending value
+REJECTED = {
+    "seed-2^64": (2**64, [(1, 2, 0), (3, 4, 5)], "below 2**64, got 18446744073709551616"),
+    "seed-2^70": (2**70, [(1, 2, 0), (3, 4, 5)], f"below 2**64, got {2**70}"),
+    "seed-2^200": (2**200, [(1, 2, 0), (3, 4, 5)], f"below 2**64, got {2**200}"),
+    "float-seed": (3.0, [(1, 2)], "integer below 2**64, got 3.0"),
+    "negative-seed": (-1, [(1, 2)], "non-negative integer below 2**64, got -1"),
+    "negative-word": (7, [(1, 2), (1, -2)], "non-negative integers below 2**32, got -2"),
+    "word-2^32": (7, [(1, 2**32, 0), (1, 2, 0)], "below 2**32, got 4294967296"),
+    "33-bit-word-among-32-bit-rows": (7, [(1, 2, 0), (5, 2**33 - 1, 0)], f"got {2**33 - 1}"),
+    # numpy reads a word past uint64 as an object (past int64: below)
+    "uint64-word-2^63": (7, np.array([(1, 2), (2**63, 1)], dtype=np.uint64),
+                         "got 9223372036854775808"),
+    "word-2^600": (7, [(2**600, 1, 0), (3, 4, 5)], f"got {2**600}"),
+    "float-block": (7, np.array([(1.0, 2.0)]), "below 2**32, got 1.0"),
+    "ragged": (7, [(1,), (2, 3), (4, 5, 6)], "inhomogeneous shape"),
+    "17-words": (7, [tuple(range(17)), tuple(range(1, 18))], "(B, k <= 16), got (2, 17)"),
+    "3-d-block": (7, np.zeros((2, 2, 2), dtype=int), "got (2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_inputs_past_the_block_rejected(case):
+    seed, paths, message = REJECTED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        standard_normals(seed, paths, 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(rng.row_generators(seed, paths))
 
 
 def test_block_mixing_fast_rows_and_a_word_past_int64(monkeypatch):
-    # a word of 2**63 or more, which int64 cannot hold, is split into 32-bit
-    # words like any other value: every row takes the block seeder
-    paths = [(1, 2, 0), (2**63, 1, 0), (3, 4, 5), (2**64 - 1, 0, 0), (2**32 - 1, 7, 1)]
+    # numpy reads a word of 2**63 or more as a float: the block is rejected
+    # whole, naming the word as given, and no row falls back to a substream
+    paths = [(1, 2, 0), (2**63, 1, 0), (3, 4, 5), (2**32 - 1, 7, 1)]
     calls = []
 
     def recording(seed, *path):
@@ -94,10 +99,10 @@ def test_block_mixing_fast_rows_and_a_word_past_int64(monkeypatch):
         return substream(seed, *path)
 
     monkeypatch.setattr(rng, "substream", recording)
-    got = standard_normals(7, paths, 29)
+    rows = rng.row_generators(7, paths)
+    with pytest.raises(ValueError, match=f"below 2\\*\\*32, got {2**63}$"):
+        next(rows)
     assert calls == []
-    for row, path in zip(got, paths):
-        assert np.array_equal(row, substream(7, *path).standard_normal(29)), path
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint32, np.int32])
@@ -111,6 +116,14 @@ def test_numpy_integer_words_equal_substream(dtype):
     assert np.array_equal(standard_normals(2**40 + 3, scalars, 21), got)
     for row, path in zip(got, as_tuples):
         assert np.array_equal(row, substream(2**40 + 3, *path).standard_normal(21))
+
+
+def test_one_word_paths_as_a_sequence():
+    # a sequence of integers is one one-word path each
+    got = standard_normals(11, [3, 2**32 - 1, 0], 9)
+    assert np.array_equal(got, standard_normals(11, [(3,), (2**32 - 1,), (0,)], 9))
+    with pytest.raises(ValueError, match=f"got {2**63}$"):
+        standard_normals(11, [3, 2**63], 9)
 
 
 def test_no_paths_give_no_rows():
@@ -162,8 +175,10 @@ def test_fading_path_builds_no_substream(monkeypatch):
     assert rejections.sum() > 0
     assert calls == []
 
-    # nor does a draw whose path holds a word of 2**32 or more
-    sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
+    # a draw whose path holds a word of 2**32 or more is rejected, not drawn
+    # from a substream
+    with pytest.raises(ValueError, match="got 4294967296"):
+        sample_double_rayleigh(FadingSpec(4, 4, 2, 1e-5, 3), [(2**32, 1)])
     assert calls == []
 
 
@@ -184,7 +199,7 @@ def test_row_after_a_32_bit_draw_equals_substream():
 def test_interleaved_iterators_each_match_substream():
     # each row's draws are taken before the next row of either iterator
     first = rng.row_generators(5, [(1, t) for t in range(6)])
-    second = rng.row_generators(2**40, [(2, t, 0) for t in range(6)] + [(2**33, 1, 0)])
+    second = rng.row_generators(2**40, [(2, t, 0) for t in range(6)] + [(2**32 - 1, 1, 0)])
     for t in range(6):
         _, gen = next(first)
         a = gen.standard_normal(7)
@@ -192,8 +207,9 @@ def test_interleaved_iterators_each_match_substream():
         b = gen.standard_normal(7)
         assert np.array_equal(a, substream(5, 1, t).standard_normal(7))
         assert np.array_equal(b, substream(2**40, 2, t, 0).standard_normal(7))
-    _, gen = next(second)  # a fallback row, after the block
-    assert np.array_equal(gen.standard_normal(7), substream(2**40, 2**33, 1, 0).standard_normal(7))
+    _, gen = next(second)  # the largest word, after the other rows
+    assert np.array_equal(gen.standard_normal(7),
+                          substream(2**40, 2**32 - 1, 1, 0).standard_normal(7))
     assert next(first, None) is None and next(second, None) is None
 
 
@@ -229,6 +245,6 @@ def test_generator_is_built_once_per_process():
         channel_kind=ChannelKind.DOUBLE_RAYLEIGH,
     )
     run_rank_sweep(spec)
-    standard_normals(9, [(1,), (2**40,)], 3)  # a block and a fallback row
+    standard_normals(9, [(1,), (2**32 - 1,)], 3)  # one more block
     info = rng._generator.cache_info()
     assert (info.misses, info.hits) == (1, 8 * math.ceil(150 / FADING_BLOCK))
