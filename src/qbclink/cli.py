@@ -122,7 +122,15 @@ def _number(kind, low=None, high=np.inf, bound=None):
 
 _real = _number(float)
 _int = _number(int)
-_count = _number(int, 1)
+# Antennas of one array (nt, nr, nb): a fading sweep holds a stack of
+# montecarlo.FADING_BLOCK draws of nr x nb, nb x nt and nr x nt complex
+# entries and their SVDs; a 128 x 128 sweep of 256 trials at rank 128 peaks
+# at about 360 MB RSS (2-vCPU x86-64 host).
+MAX_ANTENNAS = 128
+# Points of the ber grid: ber holds one line of text per point and receiver;
+# all three receivers at 10**5 points peak at about 110 MB RSS and take 4 s.
+MAX_M_POINTS = 10**5
+_antennas = _number(int, 1, MAX_ANTENNAS, f"lie in [1, {MAX_ANTENNAS}]")
 
 
 def _parse_ranks(name: str, value) -> tuple | range:
@@ -193,8 +201,8 @@ KEYS = {key.name: key for key in (
     Key("sigma_q", _real, "tag cross-section (m^2)", "--sigma-q"),
     Key("rt", _real, "transmitter-to-tag distance (m)", "--rt"),
     Key("rr", _real, "tag-to-receiver distance (m)", "--rr"),
-    Key("nt", _count, flag="--nt"),
-    Key("nr", _count, flag="--nr"),
+    Key("nt", _antennas, flag="--nt"),
+    Key("nr", _antennas, flag="--nr"),
     Key("eta", _real, flag="--eta"),
     # the range of a fading spec and of a sweep spec
     Key("seed", _number(int, 0, 2**64 - 1, "lie in [0, 2**64 - 1]"), flag="--seed"),
@@ -202,7 +210,7 @@ KEYS = {key.name: key for key in (
     Key("nz", _real, flag="--nz"),
     Key("kind", lambda name, value: str(value), "channel kind: two_path, clutter, fading",
         "--channel"),
-    Key("nb", _count),
+    Key("nb", _antennas),
     Key("spacing", _number(float, -sys.float_info.max, sys.float_info.max, "be finite")),
     Key("draw", _number(int, 0, 2**32 - 1, "lie in [0, 2**32 - 1]")),
     Key("modes", _real),
@@ -213,7 +221,7 @@ KEYS = {key.name: key for key in (
         "classical, guha, or zhuang", "--receiver"),
     Key("m_min", _real),
     Key("m_max", _real),
-    Key("m_points", _int),
+    Key("m_points", _number(int, 1, MAX_M_POINTS, f"lie in [1, {MAX_M_POINTS}]")),
     Key("ranks", _parse_ranks, "'a..b' or comma list", "--ranks"),
     Key("trials", _number(int, 1, 2**32, "lie in [1, 2**32]"), flag="--trials"),
     Key("channel", _choice("montecarlo.ChannelKind", "channel kind"),
@@ -357,8 +365,8 @@ def cmd_ber(args) -> int:
     m_max = cfg["m_max"]
     m_points = cfg["m_points"]
     # written as "not within", so that a NaN fails
-    if not 0 < m_min <= m_max < np.inf or m_points < 1:
-        raise ConfigError("need 0 < m_min <= m_max < inf and m_points >= 1")
+    if not 0 < m_min <= m_max < np.inf:
+        raise ConfigError("need 0 < m_min <= m_max < inf")
 
     receivers = [cfg["receiver"]] if "receiver" in cfg else list(qi.Receiver)
     grid = np.logspace(np.log10(m_min), np.log10(m_max), m_points)

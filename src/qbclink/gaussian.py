@@ -91,7 +91,7 @@ class GaussianState:
 
     @classmethod
     def vacuum(cls, modes: int) -> "GaussianState":
-        return cls(mean=np.zeros(2 * modes), cov=0.5 * np.eye(2 * modes))
+        return cls.thermal(modes, 0.0)
 
     @classmethod
     def thermal(cls, modes: int, mean_photons: float) -> "GaussianState":
@@ -103,31 +103,22 @@ class GaussianState:
         )
 
     @classmethod
-    def from_ladder_moments(cls, c: np.ndarray, g: np.ndarray) -> "GaussianState":
-        """Build a zero-mean state from ``<a† a>`` and ``<a a>`` matrices."""
-        c = np.asarray(c, dtype=complex)
-        g = np.asarray(g, dtype=complex)
-        n = c.shape[0]
-        eye = np.eye(n)
-        vxx = (g + c).real + 0.5 * eye
-        vpp = (c - g).real + 0.5 * eye
-        vxp = (c + g).imag
-        return cls(mean=np.zeros(2 * n), cov=_block2(vxx, vxp, vxp.T, vpp))
-
-    @classmethod
     def tmss_pairs(cls, n_signal: float, total_modes: int, links):
         """Product state of two-mode squeezed pairs embedded in a register.
 
         ``links`` is a sequence of ``(signal_mode, idler_mode)`` index pairs;
-        every unlinked mode starts in vacuum.
+        every unlinked mode starts in vacuum.  Both modes of a pair have x and
+        p variances ``Ns + 1/2``, its x quadratures correlate by ``+sqrt(Ns
+        (Ns + 1))`` and its p quadratures by ``-sqrt(Ns (Ns + 1))``, and no x
+        correlates with a p (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
         """
         cross = tmss_cross_correlation(n_signal)
-        c = np.zeros((total_modes, total_modes), dtype=complex)
-        g = np.zeros((total_modes, total_modes), dtype=complex)
+        state = cls.vacuum(total_modes)
         for sig, idl in links:
-            c[sig, sig] = c[idl, idl] = n_signal
-            g[sig, idl] = g[idl, sig] = cross
-        return cls.from_ladder_moments(c, g)
+            for q, sign in ((0, 1.0), (total_modes, -1.0)):  # the x, then the p block
+                state.cov[q + sig, q + sig] = state.cov[q + idl, q + idl] = n_signal + 0.5
+                state.cov[q + sig, q + idl] = state.cov[q + idl, q + sig] = sign * cross
+        return state
 
     # -- derived moments ----------------------------------------------------
 
@@ -198,10 +189,7 @@ def propagate(
     if not 0 <= thermal_photons < np.inf:
         raise ValueError("thermal photon number must be non-negative")
 
-    gap = a @ _dagger(a)
-    gap = np.add(gap, b @ _dagger(b), out=gap if a.shape[:-1] == b.shape[:-1] else None)
-    gap -= np.eye(n_out)
-    gap = np.max(np.abs(gap), axis=(-2, -1))
+    gap = np.max(np.abs(a @ _dagger(a) + b @ _dagger(b) - np.eye(n_out)), axis=(-2, -1))
     if not (gap <= COMMUTATOR_TOL).all():  # "not within", so that a NaN map fails
         raise NonPhysicalTransformError(
             f"A A† + B B† deviates from identity by {np.max(gap):.3e}; "

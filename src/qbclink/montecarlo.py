@@ -224,9 +224,11 @@ def _aggregate(rank, protocol, parts, rejected) -> EnsembleResult:
     )
 
 
-def _ratio_pair(spec: ExperimentSpec, stack: ChannelMatrix, coherent: bool = True):
-    """The paired and the eigen ``_ratios`` of a stack of channels."""
+def _ratio_pair(spec: ExperimentSpec, stack: ChannelMatrix):
+    """The paired and the eigen ``_ratios`` of a stack of channels; the paired
+    SNR sums interferer amplitudes on fading channels, powers otherwise."""
     baseline = _link_snr(spec.reference_rtt, spec.qi)
+    coherent = spec.channel_kind is ChannelKind.DOUBLE_RAYLEIGH
     return (_ratios(pmimo_snr(stack, spec.qi, coherent) / baseline),
             _ratios(emimo_snr(stack, spec.qi) / baseline))
 
@@ -292,7 +294,7 @@ def run_rank_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
         # one evaluation per rank point, as a point of one batch
         n, eta = spec.n_tx, spec.reference_rtt
         channels = [deterministic_channel(n, rank, eta) for rank in spec.rank_sweep]
-        points = [[(*_ratio_pair(spec, cm[None], coherent=False), 0)] for cm in channels]
+        points = [[(*_ratio_pair(spec, cm[None]), 0)] for cm in channels]
     else:
         points = _fading_points(spec, workers)
 

@@ -715,6 +715,22 @@ BOUNDED_COUNTS = {
     "sweep-nt": (["sweep", "--nt", "0"], "nt", "qbclink.montecarlo.run_rank_sweep"),
     "sweep-nr": (["sweep", "--channel", "deterministic", "--set", "nr=-3"], "nr",
                  "qbclink.montecarlo.run_rank_sweep"),
+    # sizes past their bound: each would allocate 74.5 GiB to 7.28 TiB, or
+    # (the 3000-antenna draw) run past a minute
+    "ber-m-points-10^12": (["ber", "--set", f"m_points={10**12}"], "m_points",
+                           "numpy.logspace"),
+    "sweep-fading-10^5": (["sweep", "--ranks", "1", "--trials", "1",
+                           "--nt", "100000", "--nr", "100000"], "nt",
+                          "qbclink.montecarlo.run_rank_sweep"),
+    "sweep-deterministic-10^5": (["sweep", "--channel", "deterministic", "--ranks", "1",
+                                  "--eta", "1e-6", "--nt", "100000", "--nr", "100000"], "nt",
+                                 "qbclink.montecarlo.run_rank_sweep"),
+    "fading-10^5": (["channel", "--channel", "fading", "--set", "nb=1", "--eta", "1e-5",
+                     "--seed", "1", "--nt", "100000", "--nr", "100000"], "nt",
+                    "qbclink.channel.sample_double_rayleigh"),
+    "fading-3000": (["channel", "--channel", "fading", "--eta", "1e-5", "--seed", "1",
+                     "--nt", "3000", "--nr", "3000", "--set", "nb=3000"], "nt",
+                    "qbclink.channel.sample_double_rayleigh"),
 }
 
 
@@ -732,8 +748,30 @@ def test_count_out_of_range_rejected_before_any_work(capsys, monkeypatch, tmp_pa
     assert code == 2
     assert out == ""
     given = argv[-1].split("=")[-1]
-    assert re.fullmatch(rf"error: key '{name}' must (be at least 1|lie in \[.*\]), got {given}\n",
-                        err), err
+    assert re.fullmatch(rf"error: key '{name}' must lie in \[.*\], got {given}\n", err), err
+
+
+# every key that sizes an array or a loop
+SIZE_KEYS = {"nt", "nr", "nb", "m_points", "trials", "max_n"}
+# the keys whose converter takes 2**63: a physical quantity, a seed, a name,
+# or a count that the command bounds once it reads it (ranks by nt and nr,
+# workers by the CPU count)
+TAKES_2_63 = {"g", "omega", "sigma_q", "rt", "rr", "eta", "seed", "ns", "nz", "kind",
+              "spacing", "modes", "m_min", "m_max", "ranks", "workers"}
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_every_size_key_rejects_2_63_by_name(name):
+    convert = KEYS[name].convert
+    if name in SIZE_KEYS:
+        with pytest.raises(ConfigError, match=f"^key '{name}' must lie in "):
+            convert(name, 2**63)
+        return
+    try:
+        convert(name, 2**63)
+    except ConfigError:
+        return
+    assert name in TAKES_2_63, f"key '{name}' takes 2**63: bound it, or say what bounds it"
 
 
 FADING_4X4 = ["channel", "--channel", "fading", "--nt", "4", "--nr", "4"]
@@ -778,9 +816,9 @@ SPEC_ERRORS = {
                           "modes must be finite, got inf",
                           "qbclink.channel.sample_double_rayleigh"),
     "ber-m-max-inf": (["ber", "--set", "m_max=inf"],
-                      "need 0 < m_min <= m_max < inf and m_points >= 1", "qbclink.qi.siso_snr"),
+                      "need 0 < m_min <= m_max < inf", "qbclink.qi.siso_snr"),
     "ber-m-min-nan": (["ber", "--set", "m_min=nan"],
-                      "need 0 < m_min <= m_max < inf and m_points >= 1", "qbclink.qi.siso_snr"),
+                      "need 0 < m_min <= m_max < inf", "qbclink.qi.siso_snr"),
 }
 
 

@@ -59,6 +59,32 @@ class TestGaussianState:
         assert state.ladder_g[0, 1] == pytest.approx(tmss_cross_correlation(n_signal), rel=1e-12)
         assert state.ladder_c[0, 1] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n_signal, total_modes, links", [
+        (0.01, 2, [(0, 1)]),
+        (0.3, 2, [(1, 0)]),
+        (7.0, 4, [(0, 2), (1, 3)]),
+        (0.04, 5, [(0, 3), (1, 4)]),  # mode 2 unlinked
+        (2.0**-50, 3, [(2, 0)]),
+    ])
+    def test_tmss_pairs_equals_the_state_of_its_ladder_moments(self, n_signal, total_modes,
+                                                               links):
+        # <a†a> = Ns on each linked mode and <a_S a_I> = sqrt(Ns (Ns + 1)) on
+        # each pair, turned into quadrature blocks the way a general zero-mean
+        # state is: xx = Re(g + c) + I/2, pp = Re(c - g) + I/2, xp = Im(c + g)
+        c = np.zeros((total_modes, total_modes), dtype=complex)
+        g = np.zeros((total_modes, total_modes), dtype=complex)
+        for sig, idl in links:
+            c[sig, sig] = c[idl, idl] = n_signal
+            g[sig, idl] = g[idl, sig] = np.sqrt(n_signal * (n_signal + 1.0))
+        eye = np.eye(total_modes)
+        vxp = (c + g).imag
+        cov = np.block([[(g + c).real + 0.5 * eye, vxp], [vxp.T, (c - g).real + 0.5 * eye]])
+        state = GaussianState.tmss_pairs(n_signal, total_modes, links)
+        assert np.array_equal(state.mean, np.zeros(2 * total_modes))
+        assert state.cov.tobytes() == cov.tobytes()  # bit for bit, signed zeros too
+        assert GaussianState.vacuum(total_modes).cov.tobytes() == (
+            GaussianState.thermal(total_modes, 0.0).cov.tobytes())
+
     def test_tmss_state_is_physical(self):
         # the uncertainty bound cov + i Omega / 2 >= 0, Omega the symplectic form
         state = GaussianState.tmss_pairs(0.3, total_modes=5, links=[(0, 3), (1, 4)])
