@@ -54,6 +54,10 @@ REJECTION_ABORT_FRACTION = 0.01
 # raised the peak RSS by at most 0.8 MB (and lowered it at 10,000 trials);
 # 512 raised that of the rank-1 pooled sweep by a further 1 MB a process.
 FADING_BLOCK = 256
+# Rank points x trials of a fading sweep: the sweep holds every sample and its
+# text, and the CLI each CSV's lines; 8 ranks x 125,000 trials, CSVs written,
+# peak at about 580 MB RSS and take 15 s (2-vCPU x86-64 host).
+MAX_RANK_TRIALS = 10**6
 
 
 class ChannelKind(enum.Enum):
@@ -95,6 +99,11 @@ class ExperimentSpec:
             raise ValueError(f"rank_sweep lists a rank more than once: {self.rank_sweep}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # a deterministic rank point is evaluated once, whatever its trials
+        if (self.channel_kind is ChannelKind.DOUBLE_RAYLEIGH
+                and len(self.rank_sweep) * self.trials > MAX_RANK_TRIALS):
+            raise ValueError(f"ranks x trials of a fading sweep must be at most "
+                             f"{MAX_RANK_TRIALS}, got {len(self.rank_sweep)} x {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0.0 < self.reference_rtt < 1.0:

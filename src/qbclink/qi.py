@@ -137,17 +137,18 @@ def siso_snr(eta: float, params: QiParams) -> float:
     return params.receiver.snr_coefficient * _link_snr(eta, params)
 
 
-def chernoff_ber(beta: float, modes: float) -> float:
-    """Bit error probability ``exp(-beta * modes)``.
-
-    This is the leading exponential behaviour of the error probability; the
-    simulator adopts it as the definition of BER.
-    """
+def chernoff_ber(beta: float, modes):
+    """Bit error rate ``exp(-beta * modes)``, the leading exponential of the
+    error probability, elementwise in ``modes`` (a float for a number)."""
     if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be non-negative, got {beta}")
-    if not 0 < modes < np.inf:
-        raise ValueError(f"modes must be positive, got {modes}")
-    return float(np.exp(-beta * modes))
+    modes = np.asarray(modes, dtype=float)
+    within = (modes > 0.0) & (modes < np.inf)  # False for a NaN
+    if not within.all():
+        raise ValueError(f"modes must be positive, got {modes[~within][0]}")
+    with np.errstate(over="ignore"):  # a product past the float range: BER 0
+        ber = np.exp(-beta * modes)
+    return float(ber) if ber.ndim == 0 else ber
 
 
 def _square_matrix(cm: ChannelMatrix) -> np.ndarray:

@@ -365,6 +365,53 @@ class TestBer:
         assert float(row[1]) == pytest.approx(6.9077552789821368e9, rel=1e-12)
         assert float(row[3]) == pytest.approx(1e-3, rel=1e-12)
 
+    # sha256 of the stdout (and --out file) of `ber` with these arguments, as
+    # the table was when each grid point was evaluated on its own: the grid at
+    # its size bound, a beta * modes past the float range (BERs of 0), the
+    # smallest positive m_min, and an m_max past the grid's range that one
+    # point leaves out
+    @pytest.mark.parametrize("args, digest", [
+        (["--set", "m_points=100000"],
+         "f11f0bcacc5d358dcb562f332f007fec8e7af341152f618e1da5235823262f82"),
+        (["--ns", "1e308", "--nz", "2", "--set", "m_points=3"],
+         "5cbe5c030c866bb2ea3f54f98a468aa4b2e1e5d4409263393c8a54648c0bb338"),
+        (["--set", "m_min=5e-324"],
+         "b2722fb4d9f9ac79151cb056330c4fd90b6cfbd92efb2610a14f831d4b095e43"),
+        (["--set", "m_max=1.7976931348623157e308", "--set", "m_points=1"],
+         "1f019eea8bcf6c1529c1c62c6ef23ab2895b8a42c51dd2c8aa1174b8c496d1ae"),
+    ], ids=["m-points-10^5", "ns-1e308", "m-min-5e-324", "m-max-float-max-one-point"])
+    def test_table_pinned(self, capsys, tmp_path, args, digest):
+        out_file = tmp_path / "ber.csv"
+        with (pytest.warns(UserWarning, match="operating point") if "--ns" in args
+              else contextlib.nullcontext()):
+            code, out, err = run(capsys, ["ber", *args, "--out", str(out_file)])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert out_file.read_text() == out
+
+    @pytest.mark.parametrize("argv, receivers", [
+        (["ber", "--set", "m_points=50"], 3),
+        (["ber", "--receiver", "guha", "--set", "m_points=50"], 1),
+    ], ids=["all", "one"])
+    def test_one_evaluation_per_receiver(self, capsys, monkeypatch, argv, receivers):
+        from qbclink import qi
+
+        names = ("QiParams", "siso_snr", "chernoff_ber")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(qi, name, counted(name, getattr(qi, name)))
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 50 * receivers
+        assert calls == dict.fromkeys(names, receivers)
+
 
 # stdout and --out matrix sha256 of steered channels: a two-path channel with a
 # protocol report, and a clutter channel with n_tx != n_rx
@@ -819,6 +866,26 @@ SPEC_ERRORS = {
                       "need 0 < m_min <= m_max < inf", "qbclink.qi.siso_snr"),
     "ber-m-min-nan": (["ber", "--set", "m_min=nan"],
                       "need 0 < m_min <= m_max < inf", "qbclink.qi.siso_snr"),
+    # a finite key whose grid point 10**log10(key) overflows: m_max, or m_min
+    # when it is the one point
+    "ber-m-max-float-max": (["ber", "--set", "m_max=1.7976931348623157e308"],
+                            "key 'm_max' must give a finite grid point 10**log10(m_max), "
+                            "got 1.7976931348623157e+308", "qbclink.qi.QiParams"),
+    "ber-m-min-float-max-one-point": (
+        ["ber", "--set", "m_min=1.7976931348623157e308", "--set", "m_max=1.7976931348623157e308",
+         "--set", "m_points=1"],
+        "key 'm_min' must give a finite grid point 10**log10(m_min), "
+        "got 1.7976931348623157e+308", "qbclink.qi.QiParams"),
+    # ranks x trials past montecarlo.MAX_RANK_TRIALS: 16.8 million jobs at the
+    # top of the trials range
+    "sweep-ranks-x-trials": (["sweep", "--trials", str(2**32), "--ranks", "1",
+                              "--nt", "2", "--nr", "2"],
+                             "ranks x trials of a fading sweep must be at most 1000000, "
+                             "got 1 x 4294967296", "qbclink.montecarlo._fading_points"),
+    "sweep-ranks-x-trials-8-ranks": (["sweep", "--trials", "125001"],
+                                     "ranks x trials of a fading sweep must be at most "
+                                     "1000000, got 8 x 125001",
+                                     "qbclink.montecarlo._fading_points"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +336,17 @@ class TestRankSweep:
             small_spec(trials=0)
         with pytest.raises(ValueError):
             small_spec(rank_sweep=())
+
+    def test_fading_rank_trials_bounded_at_the_constant(self):
+        # three ranks: the largest trial count at the bound, and one past it
+        most = montecarlo.MAX_RANK_TRIALS // 3
+        assert small_spec(trials=most).trials == most
+        with pytest.raises(ValueError, match=re.escape(
+                f"ranks x trials of a fading sweep must be at most "
+                f"{montecarlo.MAX_RANK_TRIALS}, got 3 x {most + 1}")):
+            small_spec(trials=most + 1)
+        # a deterministic rank point is evaluated once, at any trial count
+        assert small_spec(channel_kind=ChannelKind.DETERMINISTIC, trials=2**32).trials == 2**32
 
     @pytest.mark.parametrize("ranks", [(2, 2), (1, 2, 1)])
     def test_repeated_rank_rejected(self, ranks):

@@ -116,6 +116,26 @@ class TestChernoff:
         combined = chernoff_ber(beta, m1) * chernoff_ber(beta, m2)
         assert chernoff_ber(beta, m1 + m2) == pytest.approx(combined, rel=1e-12)
 
+    # a grid from the smallest subnormal to the largest float: exp underflows
+    # to 0 past beta * modes of about 745, and at beta 1e300 the product
+    # overflows to inf past 1.8e8 modes, a BER of 0; neither warns
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 1.0, 1e300])
+    def test_array_equals_the_scalar_calls(self, beta):
+        modes = np.concatenate([[5e-324, 1e-300], np.logspace(-3, 12, 301),
+                                [1.7976931348623157e308]])
+        bers = chernoff_ber(beta, modes)
+        scalars = [chernoff_ber(beta, m) for m in modes.tolist()]
+        assert {type(ber) for ber in scalars} == {float}
+        assert bers.shape == modes.shape
+        assert bers.tolist() == scalars
+        assert scalars[-1] == (1.0 if beta == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_array_names_its_first_bad_mode_count(self, bad):
+        with pytest.raises(ValueError) as raised:
+            chernoff_ber(1e-9, np.array([1e6, bad, 3e6, -5.0]))
+        assert str(raised.value) == f"modes must be positive, got {bad}"
+
 
 class TestPairedMimo:
     def test_diagonal_channel_sees_thermal_floor_only(self):
